@@ -23,7 +23,10 @@ from scipy.stats import norm
 from .errors import ConfigError, InputError
 from .flow import FlowModel
 
-_CHUNK_ROWS = 8192  # fixed so results never depend on the thread count
+# Events per scoring chunk, fixed so results never depend on the thread
+# count.  Each chunk is one log_density pass over every (point, event) row,
+# about 9 x _CHUNK_ROWS rows with the default quadrature.
+_CHUNK_ROWS = 1024
 
 ALPHA_SENTINEL = float("inf")
 
@@ -74,7 +77,7 @@ class ScoreConfig:
 
     def signal_quadrature(self):
         if self.signal_sigma is None:
-            return None
+            return np.zeros(1), np.ones(1)  # the plain density at m
         return _quadrature(self.signal_sigma, self.n_quad, 0.0)
 
 
@@ -141,15 +144,27 @@ def _event_arrays(events):
     return X, m
 
 
-def _averaged_density(model, X, m, offsets, weights):
-    """Kernel-averaged density sum_j w_j p(x | m + delta_j), plus clamp flag."""
-    p = np.zeros(X.shape[0])
-    clamped = np.zeros(X.shape[0], dtype=bool)
-    for delta, w in zip(offsets, weights):
-        shifted = m + delta
-        clamped |= model.conditional_clamped(shifted)
-        p += w * np.exp(model.log_density(X, shifted))
-    return p, clamped
+def _averaged_densities(model, X, m, quadratures):
+    """Kernel-averaged densities sum_j w_j p(x | m + delta_j), one per
+    (offsets, weights) quadrature, each with its clamp flag.
+
+    Every (point, event) row goes through one stacked log_density pass;
+    each sum is then built from 0 in offset order.
+    """
+    offsets = np.concatenate([q[0] for q in quadratures])
+    shifted = m[None, :] + offsets[:, None]
+    logp = model.log_density(np.tile(X, (offsets.size, 1)),
+                             shifted.ravel()).reshape(shifted.shape)
+    clamped = model.conditional_clamped(shifted)
+    out = []
+    first = 0
+    for _, weights in quadratures:
+        p = np.zeros(X.shape[0])
+        for j, w in enumerate(weights, first):
+            p += w * np.exp(logp[j])
+        out.append((p, clamped[first:first + weights.size].any(axis=0)))
+        first += weights.size
+    return out
 
 
 def signal_density(model: FlowModel, x, m, config: ScoreConfig | None = None):
@@ -161,12 +176,7 @@ def signal_density(model: FlowModel, x, m, config: ScoreConfig | None = None):
     config = config or ScoreConfig()
     X = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
     mv = np.array([float(m)])
-    quad = config.signal_quadrature()
-    if quad is None:
-        clamped = model.conditional_clamped(mv)
-        p = np.exp(model.log_density(X, mv))
-    else:
-        p, clamped = _averaged_density(model, X, mv, *quad)
+    [(p, clamped)] = _averaged_densities(model, X, mv, [config.signal_quadrature()])
     return float(p[0]), bool(clamped[0])
 
 
@@ -176,8 +186,7 @@ def background_density(model: FlowModel, x, m, config: ScoreConfig | None = None
     config = config or ScoreConfig()
     X = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
     mv = np.array([float(m)])
-    offsets, weights = config.background_quadrature()
-    p, clamped = _averaged_density(model, X, mv, offsets, weights)
+    [(p, clamped)] = _averaged_densities(model, X, mv, [config.background_quadrature()])
     return float(p[0]), bool(clamped[0])
 
 
@@ -195,17 +204,11 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
     if X.shape[0] and X.shape[1] != model.dim:
         raise ConfigError(f"model expects {model.dim} features, events have {X.shape[1]}")
 
-    bg_quad = config.background_quadrature()
-    sig_quad = config.signal_quadrature()
+    quadratures = [config.signal_quadrature(), config.background_quadrature()]
 
     def work(lo_row, hi_row):
-        Xc, mc = X[lo_row:hi_row], mv[lo_row:hi_row]
-        if sig_quad is None:
-            p_sig = np.exp(model.log_density(Xc, mc))
-            clamp_sig = model.conditional_clamped(mc)
-        else:
-            p_sig, clamp_sig = _averaged_density(model, Xc, mc, *sig_quad)
-        p_bg, clamp_bg = _averaged_density(model, Xc, mc, *bg_quad)
+        (p_sig, clamp_sig), (p_bg, clamp_bg) = _averaged_densities(
+            model, X[lo_row:hi_row], mv[lo_row:hi_row], quadratures)
         return p_sig, p_bg, clamp_sig | clamp_bg
 
     n = X.shape[0]

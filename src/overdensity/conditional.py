@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
-
-# safeguarded-Newton settings for inverting an interpolated transform pair
-_INVERT_RTOL = 1e-12
-_INVERT_MAX_ITER = 200
+from .transforms import safeguarded_newton
 
 
 @dataclass
@@ -104,50 +101,135 @@ def build_binning(m_values, n_bins: int, min_occupancy: int = 2) -> ConditionalB
     return ConditionalBinning(edges=edges, centers=centers)
 
 
-# -- grouped evaluation helpers (shared with the flow) -----------------------
+# -- vectorized evaluation of a slice's per-bin transforms --------------------
 
-def eval_binned(transforms, bin_idx, y):
-    """Evaluate transforms[bin_idx[i]] at y[i]; returns (psi, deriv)."""
-    psi = np.empty_like(y)
-    deriv = np.empty_like(y)
-    for b in np.unique(bin_idx):
-        mask = bin_idx == b
-        psi[mask], deriv[mask] = transforms[b].transform(y[mask])
-    return psi, deriv
+class KnotTable:
+    """The per-bin transforms of one slice, stacked for row-wise evaluation.
+
+    Row b of knots_in / knots_out / slopes holds bin b's knot table,
+    padded to a power-of-two width of at least the longest knot count
+    (knot arrays with +inf, slopes with 0); n_knots, the end knots, tail
+    slopes and derivative floors are kept per bin.  Built once per
+    (layer, slice), so evaluating any mix of bins costs a fixed number of
+    array operations.
+    """
+
+    def __init__(self, transforms):
+        n_bins = len(transforms)
+        self.n_knots = np.array([tr.knots_in.size for tr in transforms])
+        # a power of two, so segment() needs no bounds check
+        self.width = 1 << (int(self.n_knots.max()) - 1).bit_length()
+        self.knots_in = np.full((n_bins, self.width), np.inf)
+        self.knots_out = np.full((n_bins, self.width), np.inf)
+        self.slopes = np.zeros((n_bins, self.width))
+        for b, tr in enumerate(transforms):
+            self.knots_in[b, :tr.knots_in.size] = tr.knots_in
+            self.knots_out[b, :tr.knots_in.size] = tr.knots_out
+            self.slopes[b, :tr.knots_in.size] = tr.slopes
+        last = self.n_knots - 1
+        rows = np.arange(n_bins)
+        self.first_in = self.knots_in[:, 0].copy()
+        self.last_in = self.knots_in[rows, last]
+        self.first_out = self.knots_out[:, 0].copy()
+        self.last_out = self.knots_out[rows, last]
+        self.tail_lo = np.array([tr.tail_slopes[0] for tr in transforms], dtype=float)
+        self.tail_hi = np.array([tr.tail_slopes[1] for tr in transforms], dtype=float)
+        self.floor = np.array([tr.derivative_floor for tr in transforms], dtype=float)
+
+    def segment(self, knots, bin_idx, v):
+        """Flat index into knots (knots_in or knots_out, raveled) of the
+        cubic segment holding v in each row's bin.
+
+        Equals clip(searchsorted(row, v, "right") - 1, 0, n - 2) for v at
+        or above the bin's first knot, found by log2(width) rounds of
+        gather + compare over the padded rows.
+        """
+        base = bin_idx * self.width
+        count = np.ones(bin_idx.shape, dtype=np.intp)  # knots <= v, first one known
+        step = self.width // 2
+        while step:
+            count += step * (knots[base + count + (step - 1)] <= v)
+            step //= 2
+        return base + np.minimum(count, self.n_knots[bin_idx] - 1) - 1
 
 
-def invert_binned(transforms, bin_idx, z):
-    """Invert transforms[bin_idx[i]] at z[i]."""
-    y = np.empty_like(z)
-    for b in np.unique(bin_idx):
-        mask = bin_idx == b
-        y[mask] = transforms[b].inverse(z[mask])
+def eval_binned(table: KnotTable, bin_idx, y):
+    """Evaluate bin bin_idx[i]'s transform at y[i]; returns (psi, deriv).
+
+    Row for row bit-identical to Marginal1DTransform.transform: the same
+    Hermite, linear-tail and floor expressions in the same order.
+    """
+    x0 = table.first_in[bin_idx]
+    xl = table.last_in[bin_idx]
+    # tail rows are evaluated at the nearest end knot, then replaced below
+    v = np.minimum(np.maximum(y, x0), xl)
+    x, yk, d = table.knots_in.ravel(), table.knots_out.ravel(), table.slopes.ravel()
+    i = table.segment(x, bin_idx, v)
+    h = x[i + 1] - x[i]
+    t = (v - x[i]) / h
+    delta = (yk[i + 1] - yk[i]) / h
+    d0 = d[i]
+    d1 = d[i + 1]
+    c2 = 3.0 * delta - 2.0 * d0 - d1
+    c3 = d0 + d1 - 2.0 * delta
+    psi = yk[i] + h * t * (d0 + t * (c2 + t * c3))
+    deriv = d0 + t * (2.0 * c2 + 3.0 * t * c3)
+
+    below = y < x0
+    above = y > xl
+    tail_lo = table.tail_lo[bin_idx]
+    tail_hi = table.tail_hi[bin_idx]
+    psi = np.where(below, table.first_out[bin_idx] + tail_lo * (y - x0), psi)
+    psi = np.where(above, table.last_out[bin_idx] + tail_hi * (y - xl), psi)
+    deriv = np.where(below, tail_lo, np.where(above, tail_hi, deriv))
+    return psi, np.maximum(deriv, table.floor[bin_idx])
+
+
+def invert_binned(table: KnotTable, bin_idx, z):
+    """Invert bin bin_idx[i]'s transform at z[i]: exact on the tails,
+    safeguarded Newton inside the bracketing knot segment."""
+    y0 = table.first_out[bin_idx]
+    yl = table.last_out[bin_idx]
+    below = z < y0
+    above = z > yl
+    y = np.where(below, table.first_in[bin_idx] + (z - y0) / table.tail_lo[bin_idx],
+                 table.last_in[bin_idx] + (z - yl) / table.tail_hi[bin_idx])
+    inner = ~(below | above)
+    if np.any(inner):
+        b = bin_idx[inner]
+        zi = z[inner]
+        x, yk = table.knots_in.ravel(), table.knots_out.ravel()
+        i = table.segment(yk, b, zi)
+        # secant initial guess inside the bracketing segment
+        v = x[i] + (zi - yk[i]) * (x[i + 1] - x[i]) / (yk[i + 1] - yk[i])
+        y[inner] = safeguarded_newton(lambda u: eval_binned(table, b, u),
+                                      zi, v, x[i], x[i + 1])
     return y
 
 
-def interpolated_transform(transforms, lo, hi, t, y):
+def interpolated_transform(table: KnotTable, lo, hi, t, y):
     """Forward map through the bin-interpolated transform, elementwise.
 
     Returns (psi, deriv); derivatives are already clamped per transform,
     and a convex combination keeps the clamp.
     """
-    psi, deriv = eval_binned(transforms, lo, y)
+    psi, deriv = eval_binned(table, lo, y)
     mixed = t > 0
     if np.any(mixed):
-        psi_hi, d_hi = eval_binned(transforms, hi[mixed], y[mixed])
+        psi_hi, d_hi = eval_binned(table, hi[mixed], y[mixed])
         tm = t[mixed]
         psi[mixed] = (1.0 - tm) * psi[mixed] + tm * psi_hi
         deriv[mixed] = (1.0 - tm) * deriv[mixed] + tm * d_hi
     return psi, deriv
 
 
-def interpolated_inverse(transforms, lo, hi, t, z):
+def interpolated_inverse(table: KnotTable, lo, hi, t, z):
     """Invert the bin-interpolated transform elementwise.
 
     The root of (1-t)*T_lo(y) + t*T_hi(y) = z is bracketed by the two
     single-bin inverses, then polished with safeguarded Newton.
     """
-    y = invert_binned(transforms, lo, z)
+    y = invert_binned(table, lo, z)
     mixed = t > 0
     if not np.any(mixed):
         return y
@@ -157,23 +239,11 @@ def interpolated_inverse(transforms, lo, hi, t, z):
     lom = lo[mixed]
     him = hi[mixed]
     y_lo = y[mixed]
-    y_hi = invert_binned(transforms, him, zm)
-    bracket_lo = np.minimum(y_lo, y_hi)
-    bracket_hi = np.maximum(y_lo, y_hi)
+    y_hi = invert_binned(table, him, zm)
     v = (1.0 - tm) * y_lo + tm * y_hi
-    tol = _INVERT_RTOL * np.maximum(1.0, np.abs(zm))
-    for _ in range(_INVERT_MAX_ITER):
-        p, dp = interpolated_transform(transforms, lom, him, tm, v)
-        f = p - zm
-        if np.all(np.abs(f) <= tol):
-            break
-        bracket_hi = np.where(f > 0, np.minimum(bracket_hi, v), bracket_hi)
-        bracket_lo = np.where(f < 0, np.maximum(bracket_lo, v), bracket_lo)
-        step = v - f / dp
-        mid = 0.5 * (bracket_lo + bracket_hi)
-        inside = (step > bracket_lo) & (step < bracket_hi)
-        v = np.where(inside, step, mid)
-    y[mixed] = v
+    y[mixed] = safeguarded_newton(
+        lambda u: interpolated_transform(table, lom, him, tm, u), zm, v,
+        np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi))
     return y
 
 
@@ -190,7 +260,7 @@ def interpolated_apply(transforms, binning: ConditionalBinning, y, m):
     shape = y_arr.shape
     y_flat = np.ascontiguousarray(y_arr, dtype=float).ravel()
     lo, hi, t, _ = binning.interp_weights(np.ravel(m_arr))
-    psi, deriv = interpolated_transform(transforms, lo, hi, t, y_flat)
+    psi, deriv = interpolated_transform(KnotTable(transforms), lo, hi, t, y_flat)
     log_deriv = np.log(deriv)
     if shape == ():
         return float(psi[0]), float(log_deriv[0])

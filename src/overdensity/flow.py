@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditional import (ConditionalBinning, build_binning,
+from .conditional import (ConditionalBinning, KnotTable, build_binning,
                           interpolated_inverse, interpolated_transform)
 from .errors import ConfigError, FitError, InputError
 from .transforms import (DEFAULT_DERIVATIVE_FLOOR, DEFAULT_KNOTS,
@@ -72,14 +72,17 @@ class FitConfig:
 class GisLayer:
     """One slicing step: orthonormal directions plus per-bin 1D transforms.
 
-    transforms[b][k] Gaussianizes slice k for conditional bin b.
+    transforms[b][k] Gaussianizes slice k for conditional bin b;
+    tables[k] stacks slice k's transforms over all bins for evaluation.
     """
 
     weights: np.ndarray
     transforms: list
+    tables: list = field(init=False, repr=False)
 
-    def slice_transforms(self, k: int):
-        return [per_bin[k] for per_bin in self.transforms]
+    def __post_init__(self):
+        self.tables = [KnotTable([per_bin[k] for per_bin in self.transforms])
+                       for k in range(self.weights.shape[1])]
 
 
 @dataclass
@@ -129,8 +132,7 @@ class FlowModel:
             Y = Z @ W
             P = np.empty_like(Y)
             for k in range(W.shape[1]):
-                psi, deriv = interpolated_transform(
-                    layer.slice_transforms(k), lo, hi, t, Y[:, k])
+                psi, deriv = interpolated_transform(layer.tables[k], lo, hi, t, Y[:, k])
                 P[:, k] = psi
                 log_det += np.log(deriv)
             Z = Z + (P - Y) @ W.T
@@ -148,8 +150,7 @@ class FlowModel:
             Y_out = X @ W
             Y_in = np.empty_like(Y_out)
             for k in range(W.shape[1]):
-                Y_in[:, k] = interpolated_inverse(
-                    layer.slice_transforms(k), lo, hi, t, Y_out[:, k])
+                Y_in[:, k] = interpolated_inverse(layer.tables[k], lo, hi, t, Y_out[:, k])
             X = X + (Y_in - Y_out) @ W.T
         X = X * self.scale + self.shift
         if single:
@@ -296,8 +297,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
             layer = GisLayer(weights=W, transforms=transforms)
             P = np.empty_like(Y)
             for k in range(k_slices):
-                psi, _ = interpolated_transform(layer.slice_transforms(k),
-                                                lo, hi, t, Y[:, k])
+                psi, _ = interpolated_transform(layer.tables[k], lo, hi, t, Y[:, k])
                 P[:, k] = psi
             Z = Z + (P - Y) @ W.T
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
@@ -353,7 +353,16 @@ def load_model(path) -> FlowModel:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     if not lines or lines[0].strip() != MODEL_FORMAT_HEADER:
         raise InputError(f"not a {MODEL_FORMAT_HEADER} model file: {path}")
+    try:
+        return _parse_model(lines)
+    except InputError:
+        raise
+    except (IndexError, ValueError) as exc:
+        # a missing field or a field that is not a number
+        raise InputError(f"malformed model file {path}: {exc}") from exc
 
+
+def _parse_model(lines) -> FlowModel:
     pos = 1
 
     def take():

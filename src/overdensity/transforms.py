@@ -141,23 +141,32 @@ class Marginal1DTransform:
         if np.any(inner):
             zi = z[inner]
             j = np.clip(np.searchsorted(y, zi, side="right") - 1, 0, y.size - 2)
-            lo = x[j].copy()
-            hi = x[j + 1].copy()
             # secant initial guess inside the bracketing segment
             v = x[j] + (zi - y[j]) * (x[j + 1] - x[j]) / (y[j + 1] - y[j])
-            tol = _INVERT_RTOL * np.maximum(1.0, np.abs(zi))
-            for _ in range(_INVERT_MAX_ITER):
-                p, dp = self.transform(v)
-                f = p - zi
-                if np.all(np.abs(f) <= tol):
-                    break
-                hi = np.where(f > 0, np.minimum(hi, v), hi)
-                lo = np.where(f < 0, np.maximum(lo, v), lo)
-                step = v - f / dp
-                mid = 0.5 * (lo + hi)
-                v = np.where((step > lo) & (step < hi), step, mid)
-            out[inner] = v
+            out[inner] = safeguarded_newton(self.transform, zi, v, x[j], x[j + 1])
         return out
+
+
+def safeguarded_newton(evaluate, z, v, lo, hi):
+    """Solve evaluate(v)[0] = z elementwise for an increasing map.
+
+    evaluate returns (value, derivative); each root starts at v inside its
+    bracket [lo, hi].  A Newton step that leaves the (shrinking) bracket
+    is replaced by bisection.  Iterates until every residual is within
+    a relative _INVERT_RTOL of z, or _INVERT_MAX_ITER steps.
+    """
+    tol = _INVERT_RTOL * np.maximum(1.0, np.abs(z))
+    for _ in range(_INVERT_MAX_ITER):
+        p, dp = evaluate(v)
+        f = p - z
+        if np.all(np.abs(f) <= tol):
+            break
+        hi = np.where(f > 0, np.minimum(hi, v), hi)
+        lo = np.where(f < 0, np.maximum(lo, v), lo)
+        step = v - f / dp
+        mid = 0.5 * (lo + hi)
+        v = np.where((step > lo) & (step < hi), step, mid)
+    return v
 
 
 def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS,

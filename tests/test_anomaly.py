@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from overdensity import anomaly
 from overdensity.anomaly import (
     Event,
     ScoreConfig,
@@ -96,6 +97,21 @@ def test_thread_count_does_not_change_results(toy_model, toy_dataset):
     b = score_events(toy_model, toy_dataset.event_arrays(), cfg, threads=4)
     assert np.array_equal(a.alphas, b.alphas)
     assert np.array_equal(a.p_background, b.p_background)
+
+
+@pytest.mark.parametrize("signal_sigma", [None, 0.02])
+def test_chunk_size_does_not_change_results(toy_model, toy_dataset, monkeypatch,
+                                             signal_sigma):
+    X, m = toy_dataset.event_arrays()
+    events = (X[:60], m[:60])
+    cfg = ScoreConfig(sigma=0.15, thresholds=(1.5,), signal_sigma=signal_sigma)
+    ref = score_events(toy_model, events, cfg)
+    assert ref.clamped.any() and not ref.clamped.all()
+    for rows in (1, 7):
+        monkeypatch.setattr(anomaly, "_CHUNK_ROWS", rows)
+        got = score_events(toy_model, events, cfg)
+        for name in ("p_signal", "p_background", "alphas", "clamped"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (rows, name)
 
 
 def test_underflow_far_outside_support(toy_model):

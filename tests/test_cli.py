@@ -99,6 +99,24 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, replacement", [
+    ("layers 2 slices 1", ""),  # blank layer header
+    ("layer 0", ""),            # blank layer tag
+    ("dim 1", "dim x"),         # non-numeric field
+])
+def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, line, replacement):
+    text = (pipeline_dir / "model.txt").read_text()
+    assert f"\n{line}\n" in text
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n", 1))
+    code = main(["score", "--features", str(pipeline_dir / "data" / "features.csv"),
+                 "--model", str(bad), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_exits_2(pipeline_dir, tmp_path, capsys):
     cfg = tmp_path / "fit.cfg"
     cfg.write_text("bogus = 1\n")

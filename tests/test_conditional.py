@@ -5,13 +5,16 @@ from numpy.testing import assert_allclose
 
 from overdensity.conditional import (
     ConditionalBinning,
+    KnotTable,
     build_binning,
+    eval_binned,
     interpolated_apply,
     interpolated_inverse,
     interpolated_transform,
+    invert_binned,
 )
 from overdensity.errors import ConfigError, FitError, InputError
-from overdensity.transforms import Marginal1DTransform
+from overdensity.transforms import Marginal1DTransform, fit_marginal_transform
 
 
 def _affine(scale, lo=-5.0, hi=5.0):
@@ -71,12 +74,12 @@ def test_interpolated_affine_pair_midway():
 
 
 def test_interpolated_inverse_affine_pair():
-    transforms = [_affine(1.0), _affine(3.0)]
+    table = KnotTable([_affine(1.0), _affine(3.0)])
     lo = np.array([0, 0])
     hi = np.array([1, 1])
     t = np.array([0.5, 0.5])
     z = np.array([1.4, -3.0])
-    y = interpolated_inverse(transforms, lo, hi, t, z)
+    y = interpolated_inverse(table, lo, hi, t, z)
     assert_allclose(y, [0.7, -1.5], atol=1e-12)
 
 
@@ -120,12 +123,62 @@ def test_transform_is_continuous_in_m(rng):
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.lists(st.floats(min_value=-20, max_value=20), min_size=1, max_size=6))
 def test_interpolated_round_trip(t_mix, zs):
-    transforms = [_affine(1.0, -30, 30), _affine(2.5, -30, 30)]
+    table = KnotTable([_affine(1.0, -30, 30), _affine(2.5, -30, 30)])
     z = np.asarray(zs)
     n = z.size
     lo = np.zeros(n, dtype=int)
     hi = np.ones(n, dtype=int)
     t = np.full(n, t_mix)
-    y = interpolated_inverse(transforms, lo, hi, t, z)
-    back, _ = interpolated_transform(transforms, lo, hi, t, y)
+    y = interpolated_inverse(table, lo, hi, t, z)
+    back, _ = interpolated_transform(table, lo, hi, t, y)
     assert_allclose(back, z, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def binned_family(draw):
+    """A few fitted transforms plus query rows (bin, value) mixing bins.
+
+    Rounding the samples to few decimals makes tied quantiles, which are
+    merged, so knot counts differ between bins.  A large derivative floor
+    lifts derivatives inside the knot range.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floor = draw(st.sampled_from([1e-6, 0.3, 3.0]))
+    transforms = []
+    queries = []
+    for b in range(draw(st.integers(1, 5))):
+        n_knots = draw(st.integers(2, 40))
+        decimals = draw(st.integers(0, 3))
+        samples = np.round(rng.standard_normal(2 * n_knots + 200) * 2.0, decimals)
+        tr = fit_marginal_transform(samples, n_knots, derivative_floor=floor)
+        transforms.append(tr)
+        x = tr.knots_in
+        values = np.concatenate([
+            x,                                   # exactly at every knot
+            0.5 * (x[:-1] + x[1:]),              # segment midpoints
+            rng.uniform(x[0], x[-1], 20),
+            [x[0] - 1.0, x[0] - 1e3, np.nextafter(x[0], -np.inf),   # lower tail
+             x[-1] + 1.0, x[-1] + 1e3, np.nextafter(x[-1], np.inf)],  # upper tail
+        ])
+        queries.extend((b, v) for v in values)
+    order = rng.permutation(len(queries))
+    bins = np.array([queries[i][0] for i in order])
+    ys = np.array([queries[i][1] for i in order])
+    return transforms, bins, ys
+
+
+@given(binned_family())
+def test_knot_table_matches_transform_bit_for_bit(family):
+    transforms, bins, ys = family
+    table = KnotTable(transforms)
+    psi, deriv = eval_binned(table, bins, ys)
+    for i, (b, y) in enumerate(zip(bins, ys)):
+        ref_psi, ref_deriv = transforms[b].transform(np.array([y]))
+        assert psi[i] == ref_psi[0]
+        assert deriv[i] == ref_deriv[0]
+    if transforms[0].derivative_floor < 1e-3:
+        # the table inverse undoes the table forward map (Newton steps use
+        # the clamped derivative, so a floor far above the true slope
+        # stalls the inverse, in Marginal1DTransform.inverse as well)
+        back, _ = eval_binned(table, bins, invert_binned(table, bins, psi))
+        assert_allclose(back, psi, rtol=1e-10, atol=1e-10)
