@@ -11,19 +11,13 @@ The pieces, in pipeline order:
 - :mod:`overdensity.cli` — ``overdensity synth|features|fit|score``
 """
 
-from .anomaly import AnomalyReport, Event, ScoreConfig, scan_profile, score_events, summarize
+from .anomaly import AnomalyReport, ScoreConfig, scan_profile, score_events, summarize
 from .conditional import ConditionalBinning, build_binning
 from .errors import ConfigError, EventRejected, FitError, InputError
-from .flow import FitConfig, FlowModel, fit_gis, load_model, save_model, select_slice
+from .flow import FitConfig, FlowModel, fit_gis, load_model, save_model
 from .jets import Jet, Particle, cluster_antikt, extract_features, nsubjettiness, tau21
 from .synth import LhcLikeConfig, Resonance, ToyConfig, generate_lhc_like, generate_toy
-from .transforms import (
-    Marginal1DTransform,
-    apply_marginal,
-    fit_marginal_transform,
-    invert_marginal,
-    wasserstein_1d_to_gaussian,
-)
+from .transforms import Marginal1DTransform, fit_marginal_transform, wasserstein_1d_to_gaussian
 
 __version__ = "0.1.0"
 
@@ -31,7 +25,6 @@ __all__ = [
     "AnomalyReport",
     "ConditionalBinning",
     "ConfigError",
-    "Event",
     "EventRejected",
     "FitConfig",
     "FitError",
@@ -44,7 +37,6 @@ __all__ = [
     "Resonance",
     "ScoreConfig",
     "ToyConfig",
-    "apply_marginal",
     "build_binning",
     "cluster_antikt",
     "extract_features",
@@ -52,13 +44,11 @@ __all__ = [
     "fit_marginal_transform",
     "generate_lhc_like",
     "generate_toy",
-    "invert_marginal",
     "load_model",
     "nsubjettiness",
     "save_model",
     "scan_profile",
     "score_events",
-    "select_slice",
     "summarize",
     "tau21",
     "wasserstein_1d_to_gaussian",

@@ -32,14 +32,6 @@ ALPHA_SENTINEL = float("inf")
 
 
 @dataclass
-class Event:
-    """One observation: feature vector x plus conditional scalar m."""
-
-    features: np.ndarray
-    m: float
-
-
-@dataclass
 class ScoreConfig:
     """Scoring knobs.
 
@@ -131,12 +123,8 @@ class AnomalyReport:
 
 
 def _event_arrays(events):
-    if isinstance(events, tuple) and len(events) == 2:
-        X = np.asarray(events[0], dtype=float)
-        m = np.asarray(events[1], dtype=float).ravel()
-    else:
-        X = np.array([np.asarray(e.features, dtype=float) for e in events])
-        m = np.array([float(e.m) for e in events])
+    X = np.asarray(events[0], dtype=float)
+    m = np.asarray(events[1], dtype=float).ravel()
     if X.ndim == 1:
         X = X[:, None]
     if X.shape[0] != m.size:
@@ -167,34 +155,11 @@ def _averaged_densities(model, X, m, quadratures):
     return out
 
 
-def signal_density(model: FlowModel, x, m, config: ScoreConfig | None = None):
-    """Numerator density p(x | m) for one event, with clamp flag.
-
-    By default the plain fitted density; with config.signal_sigma set it
-    is smoothed over a narrow kernel instead.
-    """
-    config = config or ScoreConfig()
-    X = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    mv = np.array([float(m)])
-    [(p, clamped)] = _averaged_densities(model, X, mv, [config.signal_quadrature()])
-    return float(p[0]), bool(clamped[0])
-
-
-def background_density(model: FlowModel, x, m, config: ScoreConfig | None = None):
-    """Denominator density for one event: kernel average over nearby
-    conditionals, central points excluded."""
-    config = config or ScoreConfig()
-    X = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    mv = np.array([float(m)])
-    [(p, clamped)] = _averaged_densities(model, X, mv, [config.background_quadrature()])
-    return float(p[0]), bool(clamped[0])
-
-
 def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
                  threads: int = 1, feature_names=None) -> AnomalyReport:
     """Score events; alpha is exactly p_signal / p_background per event.
 
-    Events may be a sequence of Event or a pre-stacked (X, m) tuple.
+    Events are one (X, m) tuple: an (n, d) feature matrix and n conditionals.
     Work is split into fixed-size chunks, so results are independent of
     the thread count.
     """

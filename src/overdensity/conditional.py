@@ -246,22 +246,3 @@ def interpolated_inverse(table: KnotTable, lo, hi, t, z):
         np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi))
     return y
 
-
-def interpolated_apply(transforms, binning: ConditionalBinning, y, m):
-    """Public op: apply the per-bin transform family at conditional m.
-
-    y may be scalar or array; m is broadcast against it.  Returns
-    (psi, log_derivative).
-    """
-    if len(transforms) != binning.n_bins:
-        raise InputError("need exactly one transform per bin")
-    y_arr, m_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
-                                       np.asarray(m, dtype=float))
-    shape = y_arr.shape
-    y_flat = np.ascontiguousarray(y_arr, dtype=float).ravel()
-    lo, hi, t, _ = binning.interp_weights(np.ravel(m_arr))
-    psi, deriv = interpolated_transform(KnotTable(transforms), lo, hi, t, y_flat)
-    log_deriv = np.log(deriv)
-    if shape == ():
-        return float(psi[0]), float(log_deriv[0])
-    return psi.reshape(shape), log_deriv.reshape(shape)

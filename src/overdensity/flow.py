@@ -85,6 +85,24 @@ class GisLayer:
                        for k in range(self.weights.shape[1])]
 
 
+def _apply_layer(layer: GisLayer, Z, lo, hi, t, log_det=None):
+    """Apply one layer to the rows of Z at interpolation weights (lo, hi, t).
+
+    Returns (Z', P), P being the transformed slice coordinates.  Each
+    slice's log-derivative is added into log_det, if given, in slice order.
+    interpolated_transform is looked up in this module on every call, which
+    is where perfbench's tracer patches it.
+    """
+    W = layer.weights
+    Y = Z @ W
+    P = np.empty_like(Y)
+    for k in range(W.shape[1]):
+        P[:, k], deriv = interpolated_transform(layer.tables[k], lo, hi, t, Y[:, k])
+        if log_det is not None:
+            log_det += np.log(deriv)
+    return Z + (P - Y) @ W.T, P
+
+
 @dataclass
 class FlowModel:
     """Fitted conditional flow: standardization, binning, layers."""
@@ -128,14 +146,7 @@ class FlowModel:
         log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         lo, hi, t, _ = self.binning.interp_weights(mv)
         for layer in self.layers:
-            W = layer.weights
-            Y = Z @ W
-            P = np.empty_like(Y)
-            for k in range(W.shape[1]):
-                psi, deriv = interpolated_transform(layer.tables[k], lo, hi, t, Y[:, k])
-                P[:, k] = psi
-                log_det += np.log(deriv)
-            Z = Z + (P - Y) @ W.T
+            Z, _ = _apply_layer(layer, Z, lo, hi, t, log_det)
         if single:
             return Z[0], float(log_det[0])
         return Z, log_det
@@ -207,29 +218,6 @@ def _select_slice_scored(X, n_slices, n_candidates, seed):
     return candidates[best], float(scores[best])
 
 
-def select_slice(data, n_slices: int, n_candidates: int, seed: int) -> np.ndarray:
-    """Pick the most non-Gaussian orthonormal d x K slice of the data.
-
-    Candidates are n_candidates random orthonormal frames plus one
-    axis-aligned frame; each is scored by the summed per-column
-    Wasserstein distance of the projected data to N(0, 1).
-    """
-    X = np.asarray(data, dtype=float)
-    if X.ndim != 2:
-        raise InputError("data must be 2D")
-    n, d = X.shape
-    if n <= d:
-        raise InputError("need more samples than dimensions")
-    if not np.all(np.isfinite(X)):
-        raise InputError("data must be finite")
-    if n_slices < 1 or n_slices > d:
-        raise InputError(f"n_slices must be in [1, {d}]")
-    if n_candidates < 1:
-        raise InputError("n_candidates must be positive")
-    W, _ = _select_slice_scored(X, n_slices, n_candidates, seed)
-    return W
-
-
 # -- fitting -------------------------------------------------------------------
 
 
@@ -295,11 +283,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                 for b in range(binning.n_bins)
             ]
             layer = GisLayer(weights=W, transforms=transforms)
-            P = np.empty_like(Y)
-            for k in range(k_slices):
-                psi, _ = interpolated_transform(layer.tables[k], lo, hi, t, Y[:, k])
-                P[:, k] = psi
-            Z = Z + (P - Y) @ W.T
+            Z, P = _apply_layer(layer, Z, lo, hi, t)
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
             layers.append(layer)
             progress.append((before, after))

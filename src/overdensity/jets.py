@@ -270,13 +270,6 @@ class EventFeatures:
     def to_row(self):
         return [self.m_jj, self.m_j1, self.dm, self.tau21_1, self.tau21_2]
 
-    @property
-    def conditional(self) -> float:
-        return self.m_jj
-
-    def x_vector(self):
-        return np.array([self.m_j1, self.dm, self.tau21_1, self.tau21_2])
-
 
 def extract_features(particles, R: float = 1.0, eta_max: float = 2.5) -> EventFeatures:
     """Reduce one event's particles to the five dijet features.

@@ -123,29 +123,6 @@ class Marginal1DTransform:
         deriv = np.maximum(deriv, self.derivative_floor)
         return psi, deriv
 
-    def inverse(self, values):
-        """Map latent values back; exact on tails, safeguarded Newton on the
-        cubic segments."""
-        z = np.asarray(values, dtype=float)
-        x, y = self.knots_in, self.knots_out
-        out = np.empty_like(z)
-
-        below = z < y[0]
-        above = z > y[-1]
-        inner = ~(below | above)
-
-        if np.any(below):
-            out[below] = x[0] + (z[below] - y[0]) / self.tail_slopes[0]
-        if np.any(above):
-            out[above] = x[-1] + (z[above] - y[-1]) / self.tail_slopes[1]
-        if np.any(inner):
-            zi = z[inner]
-            j = np.clip(np.searchsorted(y, zi, side="right") - 1, 0, y.size - 2)
-            # secant initial guess inside the bracketing segment
-            v = x[j] + (zi - y[j]) * (x[j + 1] - x[j]) / (y[j + 1] - y[j])
-            out[inner] = safeguarded_newton(self.transform, zi, v, x[j], x[j + 1])
-        return out
-
 
 def safeguarded_newton(evaluate, z, v, lo, hi):
     """Solve evaluate(v)[0] = z elementwise for an increasing map.
@@ -201,23 +178,6 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS,
         raise FitError("fewer than 2 distinct quantile knots; samples are degenerate")
     z = norm.ppf(p)
     return Marginal1DTransform.from_knots(q, z, derivative_floor=derivative_floor)
-
-
-def apply_marginal(transform: Marginal1DTransform, y):
-    """Forward-map y; returns (psi, log_derivative)."""
-    psi, deriv = transform.transform(y)
-    log_deriv = np.log(deriv)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(psi), float(log_deriv)
-    return psi, log_deriv
-
-
-def invert_marginal(transform: Marginal1DTransform, z):
-    """Inverse-map z back to data space."""
-    y = transform.inverse(z)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(y)
-    return y
 
 
 @lru_cache(maxsize=8)

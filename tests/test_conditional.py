@@ -8,7 +8,6 @@ from overdensity.conditional import (
     KnotTable,
     build_binning,
     eval_binned,
-    interpolated_apply,
     interpolated_inverse,
     interpolated_transform,
     invert_binned,
@@ -20,6 +19,13 @@ from overdensity.transforms import Marginal1DTransform, fit_marginal_transform
 def _affine(scale, lo=-5.0, hi=5.0):
     knots = np.linspace(lo, hi, 9)
     return Marginal1DTransform.from_knots(knots, scale * knots)
+
+
+def _apply(transforms, binning, y, m):
+    """The per-bin family at conditionals m, as the flow evaluates it."""
+    lo, hi, t, _ = binning.interp_weights(np.atleast_1d(m))
+    return interpolated_transform(KnotTable(transforms), lo, hi, t,
+                                  np.broadcast_to(y, lo.shape).astype(float))
 
 
 def test_two_bin_edges_by_hand():
@@ -64,13 +70,13 @@ def test_interpolated_affine_pair_midway():
     b = ConditionalBinning(edges=np.array([0.0, 1.0, 2.0]),
                            centers=np.array([0.5, 1.5]))
     transforms = [_affine(1.0), _affine(3.0)]
-    psi, log_deriv = interpolated_apply(transforms, b, 0.7, 1.0)
-    assert psi == pytest.approx(1.4, abs=1e-14)
-    assert log_deriv == pytest.approx(np.log(2.0), abs=1e-14)
+    psi, deriv = _apply(transforms, b, 0.7, 1.0)
+    assert psi[0] == pytest.approx(1.4, abs=1e-14)
+    assert np.log(deriv[0]) == pytest.approx(np.log(2.0), abs=1e-14)
     # at the first center the identity applies untouched
-    psi0, ld0 = interpolated_apply(transforms, b, 0.7, 0.5)
-    assert psi0 == 0.7
-    assert ld0 == 0.0
+    psi0, d0 = _apply(transforms, b, 0.7, 0.5)
+    assert psi0[0] == 0.7
+    assert np.log(d0[0]) == 0.0
 
 
 def test_interpolated_inverse_affine_pair():
@@ -113,9 +119,7 @@ def test_transform_is_continuous_in_m(rng):
     transforms = [_affine(s) for s in (0.5, 1.0, 2.0, 3.0, 4.0)]
     y = 0.37
     for c in b.centers:
-        left, _ = interpolated_apply(transforms, b, y, c - 1e-9)
-        right, _ = interpolated_apply(transforms, b, y, c + 1e-9)
-        at, _ = interpolated_apply(transforms, b, y, c)
+        (left, at, right), _ = _apply(transforms, b, y, [c - 1e-9, c, c + 1e-9])
         assert abs(left - at) < 1e-7
         assert abs(right - at) < 1e-7
 

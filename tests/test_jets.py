@@ -147,9 +147,9 @@ def test_extract_features_two_clear_jets():
     assert feats.m_jj == pytest.approx(invariant_mass_pair(jets[0], jets[1]))
     assert feats.m_j1 == pytest.approx(jets[0].mass)
     assert feats.dm == pytest.approx(jets[0].mass - jets[1].mass)
-    assert feats.conditional == feats.m_jj
-    assert list(feats.x_vector()) == [feats.m_j1, feats.dm,
-                                      feats.tau21_1, feats.tau21_2]
+    # the conditional first, then the model features
+    assert feats.to_row() == [feats.m_jj, feats.m_j1, feats.dm,
+                              feats.tau21_1, feats.tau21_2]
 
 
 def test_extract_features_rejects_thin_events():
