@@ -202,7 +202,7 @@ def invert_binned(table: KnotTable, bin_idx, z):
         i = table.segment(yk, b, zi)
         # secant initial guess inside the bracketing segment
         v = x[i] + (zi - yk[i]) * (x[i + 1] - x[i]) / (yk[i + 1] - yk[i])
-        y[inner] = safeguarded_newton(lambda u: eval_binned(table, b, u),
+        y[inner] = safeguarded_newton(lambda rows, u: eval_binned(table, b[rows], u),
                                       zi, v, x[i], x[i + 1])
     return y
 
@@ -242,7 +242,7 @@ def interpolated_inverse(table: KnotTable, lo, hi, t, z):
     y_hi = invert_binned(table, him, zm)
     v = (1.0 - tm) * y_lo + tm * y_hi
     y[mixed] = safeguarded_newton(
-        lambda u: interpolated_transform(table, lom, him, tm, u), zm, v,
-        np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi))
+        lambda rows, u: interpolated_transform(table, lom[rows], him[rows], tm[rows], u),
+        zm, v, np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi))
     return y
 

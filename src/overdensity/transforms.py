@@ -125,24 +125,37 @@ class Marginal1DTransform:
 
 
 def safeguarded_newton(evaluate, z, v, lo, hi):
-    """Solve evaluate(v)[0] = z elementwise for an increasing map.
+    """Solve evaluate(rows, v)[0] = z elementwise for an increasing map.
 
-    evaluate returns (value, derivative); each root starts at v inside its
-    bracket [lo, hi].  A Newton step that leaves the (shrinking) bracket
-    is replaced by bisection.  Iterates until every residual is within
-    a relative _INVERT_RTOL of z, or _INVERT_MAX_ITER steps.
+    evaluate(rows, v) returns (value, derivative) at v for the entries
+    indexed by rows; each root starts at v inside its bracket [lo, hi].
+    A Newton step that leaves the (shrinking) bracket, or that failed to
+    halve |residual|, is replaced by bisection: a derivative clamped far
+    above the true slope would otherwise make Newton creep.  Each entry
+    stops once its residual is within a relative _INVERT_RTOL of z, all
+    of them after _INVERT_MAX_ITER steps.
     """
+    v = np.array(v, dtype=float)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     tol = _INVERT_RTOL * np.maximum(1.0, np.abs(z))
+    last = np.full(v.shape, np.inf)  # |residual| before the latest step
+    rows = np.arange(v.size)
     for _ in range(_INVERT_MAX_ITER):
-        p, dp = evaluate(v)
-        f = p - z
-        if np.all(np.abs(f) <= tol):
+        u = v[rows]
+        p, dp = evaluate(rows, u)
+        f = p - z[rows]
+        err = np.abs(f)
+        todo = err > tol[rows]
+        if not np.any(todo):
             break
-        hi = np.where(f > 0, np.minimum(hi, v), hi)
-        lo = np.where(f < 0, np.maximum(lo, v), lo)
-        step = v - f / dp
-        mid = 0.5 * (lo + hi)
-        v = np.where((step > lo) & (step < hi), step, mid)
+        rows, u, f, dp, err = rows[todo], u[todo], f[todo], dp[todo], err[todo]
+        hi[rows] = np.where(f > 0, np.minimum(hi[rows], u), hi[rows])
+        lo[rows] = np.where(f < 0, np.maximum(lo[rows], u), lo[rows])
+        step = u - f / dp
+        newton = (step > lo[rows]) & (step < hi[rows]) & (err <= 0.5 * last[rows])
+        last[rows] = err
+        v[rows] = np.where(newton, step, 0.5 * (lo[rows] + hi[rows]))
     return v
 
 
