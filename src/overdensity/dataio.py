@@ -48,6 +48,18 @@ def _parse_float(token, path, line_no, column):
     return value
 
 
+def _csv_rows(path, kind):
+    """Rows of a CSV input file.  A file that cannot be opened, or that
+    holds a byte that does not decode as text, raises InputError."""
+    try:
+        with open(path, newline="") as fh:
+            yield from csv.reader(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file: {exc}") from None
+
+
 @dataclass
 class FeatureTable:
     """In-memory features file: ids, conditional column, feature matrix."""
@@ -81,33 +93,27 @@ def write_features(path, event_ids, conditional_name, conditionals,
 
 
 def read_features(path) -> FeatureTable:
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read features file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
-        if len(header) < 3 or header[0] != "event_id":
-            raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
-        conditional_name = header[1]
-        feature_names = header[2:]
-        ids = []
-        cond = []
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path} line {line_no}: expected {len(header)} "
-                                 f"columns, got {len(row)}")
-            ids.append(row[0])
-            cond.append(_parse_float(row[1], path, line_no, conditional_name))
-            rows.append([_parse_float(tok, path, line_no, name)
-                         for tok, name in zip(row[2:], feature_names)])
+    reader = _csv_rows(path, "features")
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: empty file, expected a header row")
+    if len(header) < 3 or header[0] != "event_id":
+        raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
+    conditional_name = header[1]
+    feature_names = header[2:]
+    ids = []
+    cond = []
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"{path} line {line_no}: expected {len(header)} "
+                             f"columns, got {len(row)}")
+        ids.append(row[0])
+        cond.append(_parse_float(row[1], path, line_no, conditional_name))
+        rows.append([_parse_float(tok, path, line_no, name)
+                     for tok, name in zip(row[2:], feature_names)])
     features = np.array(rows, dtype=float) if rows else np.zeros((0, len(feature_names)))
     return FeatureTable(event_ids=ids, conditional_name=conditional_name,
                         conditionals=np.array(cond, dtype=float),
@@ -124,27 +130,22 @@ def write_labels(path, event_ids, labels) -> int:
 
 
 def read_labels(path):
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read labels file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != LABEL_COLUMNS:
-            raise InputError(f"{path}: expected header {','.join(LABEL_COLUMNS)}")
-        ids = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path} line {line_no}: expected 2 columns")
-            ids.append(row[0])
-            try:
-                labels.append(int(row[1]))
-            except ValueError:
-                raise InputError(f"{path} line {line_no}: bad label {row[1]!r}") from None
+    reader = _csv_rows(path, "labels")
+    header = next(reader, None)
+    if header is None or tuple(header) != LABEL_COLUMNS:
+        raise InputError(f"{path}: expected header {','.join(LABEL_COLUMNS)}")
+    ids = []
+    labels = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise InputError(f"{path} line {line_no}: expected 2 columns")
+        ids.append(row[0])
+        try:
+            labels.append(int(row[1]))
+        except ValueError:
+            raise InputError(f"{path} line {line_no}: bad label {row[1]!r}") from None
     return ids, np.array(labels, dtype=int)
 
 
@@ -152,45 +153,40 @@ def read_particle_events(path):
     """Yield (event_id, [Particle, ...]) for consecutive event_id groups."""
     from .jets import Particle
 
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read particles file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file, expected a header row")
-        has_mass = tuple(header) == PARTICLE_COLUMNS + ("mass",)
-        if not has_mass and tuple(header) != PARTICLE_COLUMNS:
-            raise InputError(f"{path}: expected header "
-                             f"{','.join(PARTICLE_COLUMNS)}[,mass]")
-        width = 5 if has_mass else 4
-        current_id = None
-        particles = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise InputError(f"{path} line {line_no}: expected {width} columns, "
-                                 f"got {len(row)}")
-            event_id = row[0]
-            pt = _parse_float(row[1], path, line_no, "pt")
-            eta = _parse_float(row[2], path, line_no, "eta")
-            phi = _parse_float(row[3], path, line_no, "phi")
-            mass = _parse_float(row[4], path, line_no, "mass") if has_mass else 0.0
-            try:
-                particle = Particle(pt=pt, eta=eta, phi=phi, mass=mass)
-            except InputError as exc:
-                raise InputError(f"{path} line {line_no}: {exc}") from None
-            if event_id != current_id:
-                if current_id is not None:
-                    yield current_id, particles
-                current_id = event_id
-                particles = []
-            particles.append(particle)
-        if current_id is not None:
-            yield current_id, particles
+    reader = _csv_rows(path, "particles")
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: empty file, expected a header row")
+    has_mass = tuple(header) == PARTICLE_COLUMNS + ("mass",)
+    if not has_mass and tuple(header) != PARTICLE_COLUMNS:
+        raise InputError(f"{path}: expected header "
+                         f"{','.join(PARTICLE_COLUMNS)}[,mass]")
+    width = 5 if has_mass else 4
+    current_id = None
+    particles = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InputError(f"{path} line {line_no}: expected {width} columns, "
+                             f"got {len(row)}")
+        event_id = row[0]
+        pt = _parse_float(row[1], path, line_no, "pt")
+        eta = _parse_float(row[2], path, line_no, "eta")
+        phi = _parse_float(row[3], path, line_no, "phi")
+        mass = _parse_float(row[4], path, line_no, "mass") if has_mass else 0.0
+        try:
+            particle = Particle(pt=pt, eta=eta, phi=phi, mass=mass)
+        except InputError as exc:
+            raise InputError(f"{path} line {line_no}: {exc}") from None
+        if event_id != current_id:
+            if current_id is not None:
+                yield current_id, particles
+            current_id = event_id
+            particles = []
+        particles.append(particle)
+    if current_id is not None:
+        yield current_id, particles
 
 
 def write_particles(path, events) -> int:

@@ -333,7 +333,7 @@ def load_model(path) -> FlowModel:
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     if not lines or lines[0].strip() != MODEL_FORMAT_HEADER:
         raise InputError(f"not a {MODEL_FORMAT_HEADER} model file: {path}")

@@ -117,6 +117,22 @@ def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, line, replaceme
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("which", ["model", "features"])
+def test_undecodable_byte_exits_1(pipeline_dir, tmp_path, capsys, which):
+    paths = {"model": pipeline_dir / "model.txt",
+             "features": pipeline_dir / "data" / "features.csv"}
+    data = bytearray(paths[which].read_bytes())
+    data[len(data) // 2] = 0xFF
+    paths[which] = tmp_path / paths[which].name
+    paths[which].write_bytes(bytes(data))
+    code = main(["score", "--features", str(paths["features"]),
+                 "--model", str(paths["model"]), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_exits_2(pipeline_dir, tmp_path, capsys):
     cfg = tmp_path / "fit.cfg"
     cfg.write_text("bogus = 1\n")

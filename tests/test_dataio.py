@@ -83,6 +83,19 @@ def test_particle_reader_validates(tmp_path):
     path.write_text("pt,eta,phi\n1,2,3\n")
     with pytest.raises(InputError, match="header"):
         list(read_particle_events(str(path)))
+    path.write_bytes(b"event_id,pt,eta,phi\n1,5.0,0.0,\xff\n")
+    with pytest.raises(InputError, match="not a text file"):
+        list(read_particle_events(str(path)))
+
+
+def test_readers_reject_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"event_id,is_signal\n1,\xff\n")
+    with pytest.raises(InputError, match="not a text file"):
+        read_labels(str(path))
+    path.write_bytes(b"event_id,m,x\n1,0.5,\xff\n")
+    with pytest.raises(InputError, match="not a text file"):
+        read_features(str(path))
 
 
 def test_scores_and_scan_files(tmp_path, toy_model, toy_dataset):

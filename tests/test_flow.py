@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from overdensity.errors import ConfigError, FitError, InputError
-from overdensity.flow import FitConfig, fit_gis, load_model, save_model
+from overdensity.flow import FitConfig, FlowModel, fit_gis, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,31 @@ def test_load_rejects_malformed_files(tmp_path, gauss2d_model):
 
     with pytest.raises(InputError):
         load_model(str(tmp_path / "nonexistent.txt"))
+
+
+@pytest.fixture(scope="module")
+def small_model_file(tmp_path_factory):
+    """A valid 2D model file of a few kilobytes, plus a path to write copies to."""
+    rng = np.random.default_rng(5)
+    model = fit_gis(rng.standard_normal((400, 2)), rng.uniform(size=400),
+                    FitConfig(n_iterations=1, n_conditional_bins=2, n_knots=8,
+                              n_candidates=2))
+    root = tmp_path_factory.mktemp("mutations")
+    save_model(model, str(root / "model.txt"))
+    return (root / "model.txt").read_bytes(), root / "mutated.txt"
+
+
+@given(st.data())
+def test_byte_mutation_loads_or_raises_input_error(small_model_file, data):
+    original, path = small_model_file
+    at = data.draw(st.integers(0, len(original) - 1), label="position")
+    value = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(original[:at] + bytes([value]) + original[at + 1:])
+    try:
+        model = load_model(str(path))
+    except InputError:
+        return
+    assert isinstance(model, FlowModel)
 
 
 def test_forward_rejects_wrong_width(gauss2d_model):
