@@ -28,8 +28,6 @@ from .flow import FlowModel
 # about 9 x _CHUNK_ROWS rows with the default quadrature.
 _CHUNK_ROWS = 1024
 
-ALPHA_SENTINEL = float("inf")
-
 
 @dataclass
 class ScoreConfig:
@@ -133,11 +131,13 @@ def _event_arrays(events):
 
 
 def _averaged_densities(model, X, m, quadratures):
-    """Kernel-averaged densities sum_j w_j p(x | m + delta_j), one per
-    (offsets, weights) quadrature, each with its clamp flag.
+    """Log kernel-averaged densities log sum_j w_j p(x | m + delta_j), one
+    per (offsets, weights) quadrature, each with its clamp flag.
 
     Every (point, event) row goes through one stacked log_density pass;
-    each sum is then built from 0 in offset order.
+    each average is the log-sum-exp of log p_j + log w_j, so it stays
+    finite where every p_j underflows.  Its sum runs in offset order, so
+    results do not depend on the chunk size.
     """
     offsets = np.concatenate([q[0] for q in quadratures])
     shifted = m[None, :] + offsets[:, None]
@@ -147,17 +147,21 @@ def _averaged_densities(model, X, m, quadratures):
     out = []
     first = 0
     for _, weights in quadratures:
-        p = np.zeros(X.shape[0])
-        for j, w in enumerate(weights, first):
-            p += w * np.exp(logp[j])
-        out.append((p, clamped[first:first + weights.size].any(axis=0)))
+        terms = logp[first:first + weights.size] + np.log(weights)[:, None]
+        top = terms.max(axis=0)
+        total = np.zeros(X.shape[0])
+        for row in terms:
+            total += np.exp(row - top)
+        out.append((top + np.log(total), clamped[first:first + weights.size].any(axis=0)))
         first += weights.size
     return out
 
 
 def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
                  threads: int = 1, feature_names=None) -> AnomalyReport:
-    """Score events; alpha is exactly p_signal / p_background per event.
+    """Score events; alpha = p_signal / p_background per event, computed
+    as exp(log p_signal - log p_background).  An event whose densities
+    underflow to 0 is flagged in underflow and keeps a finite ratio.
 
     Events are one (X, m) tuple: an (n, d) feature matrix and n conditionals.
     Work is split into fixed-size chunks, so results are independent of
@@ -172,9 +176,9 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
     quadratures = [config.signal_quadrature(), config.background_quadrature()]
 
     def work(lo_row, hi_row):
-        (p_sig, clamp_sig), (p_bg, clamp_bg) = _averaged_densities(
+        (log_sig, clamp_sig), (log_bg, clamp_bg) = _averaged_densities(
             model, X[lo_row:hi_row], mv[lo_row:hi_row], quadratures)
-        return p_sig, p_bg, clamp_sig | clamp_bg
+        return log_sig, log_bg, clamp_sig | clamp_bg
 
     n = X.shape[0]
     bounds = [(i, min(i + _CHUNK_ROWS, n)) for i in range(0, n, _CHUNK_ROWS)]
@@ -185,17 +189,19 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
         parts = [work(*b) for b in bounds]
 
     if parts:
-        p_signal = np.concatenate([p[0] for p in parts])
-        p_background = np.concatenate([p[1] for p in parts])
+        log_sig = np.concatenate([p[0] for p in parts])
+        log_bg = np.concatenate([p[1] for p in parts])
         clamped = np.concatenate([p[2] for p in parts])
     else:
-        p_signal = np.zeros(0)
-        p_background = np.zeros(0)
+        log_sig = np.zeros(0)
+        log_bg = np.zeros(0)
         clamped = np.zeros(0, dtype=bool)
 
+    p_signal = np.exp(log_sig)
+    p_background = np.exp(log_bg)
     underflow = p_background == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alphas = np.where(underflow, ALPHA_SENTINEL, p_signal / np.where(underflow, 1.0, p_background))
+    with np.errstate(over="ignore"):
+        alphas = np.exp(log_sig - log_bg)
 
     thresholds = tuple(sorted(config.thresholds))
     report = AnomalyReport(alphas=alphas, p_signal=p_signal,

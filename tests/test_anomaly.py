@@ -66,9 +66,11 @@ def test_alpha_is_exactly_the_density_ratio(toy_model, toy_dataset):
     for i in (0, 7, 39):
         p_sig = averaged(i, cfg.signal_quadrature())
         p_bg = averaged(i, cfg.background_quadrature())
+        # the plain numerator is exp(log p) itself; the background average
+        # is a log-sum-exp, equal to the plain sum up to rounding
         assert report.p_signal[i] == p_sig
-        assert report.p_background[i] == p_bg
-        assert report.alphas[i] == p_sig / p_bg
+        assert report.p_background[i] == pytest.approx(p_bg, rel=1e-12, abs=0)
+        assert report.alphas[i] == pytest.approx(p_sig / p_bg, rel=1e-12, abs=0)
 
 
 def test_selections_are_nested(toy_model, toy_dataset):
@@ -105,12 +107,14 @@ def test_chunk_size_does_not_change_results(toy_model, toy_dataset, monkeypatch,
 
 
 def test_underflow_far_outside_support(toy_model):
-    # a feature value hundreds of sigmas off support underflows both
-    # densities; alpha gets the sentinel and the flag
-    report = score_events(toy_model, (np.array([[1e8]]), np.array([0.5])),
+    # far off the ridge both densities underflow to 0 and get the flag,
+    # but the ratio comes from their logs: log p_sig is far below log p_bg,
+    # so alpha is 0 and the events pass no threshold
+    report = score_events(toy_model, (np.array([[60.0], [1e8]]), np.array([0.5, 0.5])),
                           ScoreConfig(sigma=0.15, thresholds=(1.5,)))
-    assert report.underflow[0]
-    assert np.isinf(report.alphas[0])
+    assert report.underflow.all()
+    assert np.all(np.isfinite(report.alphas))
+    assert report.selections[1.5].size == 0
 
 
 def test_signal_smoothing_changes_the_numerator(toy_model, toy_dataset):
