@@ -188,14 +188,9 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
     else:
         parts = [work(*b) for b in bounds]
 
-    if parts:
-        log_sig = np.concatenate([p[0] for p in parts])
-        log_bg = np.concatenate([p[1] for p in parts])
-        clamped = np.concatenate([p[2] for p in parts])
-    else:
-        log_sig = np.zeros(0)
-        log_bg = np.zeros(0)
-        clamped = np.zeros(0, dtype=bool)
+    if not parts:
+        parts = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))]
+    log_sig, log_bg, clamped = (np.concatenate(column) for column in zip(*parts))
 
     p_signal = np.exp(log_sig)
     p_background = np.exp(log_bg)
