@@ -204,8 +204,8 @@ def _random_orthonormal(rng, d, k):
 
 
 def _candidate_score(X, W):
-    Y = X @ W
-    return sum(wasserstein_1d_to_gaussian(Y[:, k]) for k in range(W.shape[1]))
+    # projected as W^T X^T, so each slice's sample is a contiguous row
+    return sum(wasserstein_1d_to_gaussian(y) for y in W.T @ X.T)
 
 
 def _select_slice_scored(X, n_slices, n_candidates, seed):
@@ -266,6 +266,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                        f"{binning.edges[b + 1]:g}] has {counts[b]} samples; "
                        f"needs >= {min_per_bin}")
     lo, hi, t, _ = binning.interp_weights(m)
+    bin_rows = [np.flatnonzero(bin_idx == b) for b in range(binning.n_bins)]
 
     layers = []
     progress = []
@@ -275,13 +276,12 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
         for i in range(config.n_iterations):
             W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
                                              int(seeds[i]))
-            Y = Z @ W
-            transforms = [
-                [fit_marginal_transform(Y[bin_idx == b, k], config.n_knots,
-                                        config.derivative_floor)
-                 for k in range(k_slices)]
-                for b in range(binning.n_bins)
-            ]
+            # one contiguous row per slice, projected as _apply_layer does
+            Yt = np.ascontiguousarray((Z @ W).T)
+            transforms = [[fit_marginal_transform(y[rows], config.n_knots,
+                                                  config.derivative_floor)
+                           for y in Yt]
+                          for rows in bin_rows]
             layer = GisLayer(weights=W, transforms=transforms)
             Z, P = _apply_layer(layer, Z, lo, hi, t)
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import FitError, InputError
 
@@ -65,17 +64,21 @@ class Marginal1DTransform:
         """Build a transform from knot tables, deriving monotone slopes.
 
         Slopes come from monotone piecewise-cubic (Fritsch-Carlson)
-        interpolation, so the map is strictly increasing wherever the
-        knots are.  Endpoint slopes of zero are raised slightly (within
-        the monotonicity bound) so the tails stay invertible.
+        interpolation (_pchip_slopes), so the map is strictly increasing
+        wherever the knots are.  Endpoint slopes of zero are raised
+        slightly (within the monotonicity bound) so the tails stay
+        invertible.
         """
         x = np.ascontiguousarray(knots_in, dtype=float)
         y = np.ascontiguousarray(knots_out, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise InputError("need matching 1D knot arrays with >= 2 knots")
-        d = PchipInterpolator(x, y).derivative()(x)
-        secant_lo = (y[1] - y[0]) / (x[1] - x[0])
-        secant_hi = (y[-1] - y[-2]) / (x[-1] - x[-2])
+        # knots that are not strictly increasing give nonsense here and
+        # are rejected by the constructor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = _pchip_slopes(x, y)
+            secant_lo = (y[1] - y[0]) / (x[1] - x[0])
+            secant_hi = (y[-1] - y[-2]) / (x[-1] - x[-2])
         d[0] = max(d[0], min(derivative_floor, 3.0 * secant_lo))
         d[-1] = max(d[-1], min(derivative_floor, 3.0 * secant_hi))
         tails = (max(d[0], derivative_floor), max(d[-1], derivative_floor))
@@ -159,6 +162,78 @@ def safeguarded_newton(evaluate, z, v, lo, hi):
     return v
 
 
+def _edge_slope(h0, h1, m0, m1):
+    """End slope from the end interval (width h0, secant m0) and its
+    neighbour (h1, m1): the one-sided three-point estimate, set to 0 if
+    its sign differs from m0's and capped at 3 * m0 if the secants change
+    sign (scipy's PchipInterpolator._edge_case)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x, y):
+    """Derivative at the knots of the monotone piecewise-cubic interpolant,
+    bit for bit equal to scipy's PchipInterpolator(x, y).derivative()(x).
+
+    Interior slopes are the weighted harmonic mean of the two adjacent
+    secants, 0 where these differ in sign or one is 0; the end slopes come
+    from _edge_slope.  scipy evaluates the derivative at the last knot from
+    the last interval's cubic, which rounds differently from the end slope
+    it was built from, so the last slope is evaluated the same way: the
+    interval's coefficients c0, c1, as in CubicHermiteSpline, summed as
+    (d + 2 c1 h) + 3 c0 h^2 in PPoly's order.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.empty_like(x)
+    if x.size == 2:
+        d[0] = d_end = m[0]  # a straight line
+    else:
+        condition = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(condition, 0.0, 1.0 / whmean)
+        d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+        d_end = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+    width, slope, d0 = h[-1], m[-1], d[-2]
+    t = (d0 + d_end - 2 * slope) / width
+    c0 = t / width
+    c1 = (slope - d0) / width - t
+    d[-1] = (d0 + (2 * c1) * width) + (3 * c0) * (width * width)
+    return d
+
+
+@lru_cache(maxsize=8)
+def _knot_levels(n_knots: int):
+    """Probability levels (j + 0.5) / n_knots and their standard-normal
+    quantiles, the output knots of fit_marginal_transform."""
+    p = (np.arange(n_knots) + 0.5) / n_knots
+    z = ndtri(p)
+    p.setflags(write=False)
+    z.setflags(write=False)
+    return p, z
+
+
+def _linear_quantiles(s, p):
+    """Quantiles of the ascending sample s at levels p in [0, 1]:
+    np.quantile(s, p)'s default linear method, bit for bit, with the
+    same arithmetic (virtual index (n - 1) p, and a lerp taken from the
+    upper neighbour where its weight g is >= 0.5)."""
+    v = (s.size - 1) * p
+    below = np.floor(v)
+    g = v - below
+    i = below.astype(np.intp)
+    a = s[i]
+    b = s[np.minimum(i + 1, s.size - 1)]
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+
+
 def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS,
                            derivative_floor=DEFAULT_DERIVATIVE_FLOOR) -> Marginal1DTransform:
     """Fit the marginal Gaussianizer of a scalar sample.
@@ -168,34 +243,33 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS,
     at the same levels.  Duplicate quantiles (tied data) are merged,
     keeping the first of each run.
     """
-    s = np.asarray(samples, dtype=float).ravel()
-    if not np.all(np.isfinite(s)):
+    s = np.sort(np.asarray(samples, dtype=float), axis=None)
+    # -inf sorts first, +inf and nan last
+    if s.size and not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise InputError("samples must be finite")
     if n_knots < 2:
         raise InputError("n_knots must be at least 2")
     if s.size < 2 * n_knots:
         raise FitError(f"need at least {2 * n_knots} samples for {n_knots} knots, got {s.size}")
-    if np.ptp(s) == 0.0:
+    if s[-1] - s[0] == 0.0:
         raise FitError("samples have zero variance; marginal transform is degenerate")
 
-    p = (np.arange(n_knots) + 0.5) / n_knots
-    q = np.quantile(s, p)
+    p, z = _knot_levels(n_knots)
+    q = _linear_quantiles(s, p)
     # Merge knots closer than a relative epsilon, keeping the first of each
     # run: gaps that small are one atom of the distribution, and they would
     # otherwise blow up the interpolant slopes.
     min_gap = 1e-14 * max(np.ptp(q), np.finfo(float).tiny)
     keep = np.concatenate(([True], np.diff(q) > min_gap))
     q = q[keep]
-    p = p[keep]
     if q.size < 2:
         raise FitError("fewer than 2 distinct quantile knots; samples are degenerate")
-    z = norm.ppf(p)
-    return Marginal1DTransform.from_knots(q, z, derivative_floor=derivative_floor)
+    return Marginal1DTransform.from_knots(q, z[keep], derivative_floor=derivative_floor)
 
 
 @lru_cache(maxsize=8)
 def _gaussian_plotting_quantiles(n: int) -> np.ndarray:
-    q = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
     q.setflags(write=False)
     return q
 
@@ -206,10 +280,11 @@ def wasserstein_1d_to_gaussian(samples) -> float:
     Computed by quantile matching: mean |sorted sample - normal quantile|
     at plotting positions (j - 0.5) / n.
     """
-    s = np.asarray(samples, dtype=float).ravel()
+    s = np.sort(np.asarray(samples, dtype=float), axis=None)
     if s.size < 2:
         raise InputError("need at least 2 samples")
-    if not np.all(np.isfinite(s)):
+    # -inf sorts first, +inf and nan last
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise InputError("samples must be finite")
-    s = np.sort(s)
-    return float(np.mean(np.abs(s - _gaussian_plotting_quantiles(s.size))))
+    s -= _gaussian_plotting_quantiles(s.size)
+    return float(np.abs(s, out=s).mean())

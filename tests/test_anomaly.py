@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
 from overdensity import anomaly
 from overdensity.anomaly import ScoreConfig, scan_profile, score_events, summarize
@@ -194,3 +195,13 @@ def test_quadrature_weights_always_normalize(sigma, n_quad, excl_frac):
     assert np.all(np.abs(offsets) >= excl_frac * sigma - 1e-12)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(weights > 0)
+
+
+@given(st.floats(min_value=1e-3, max_value=1e4),
+       st.integers(min_value=2, max_value=64),
+       st.floats(min_value=0.0, max_value=1.9))
+def test_quadrature_weights_match_norm_pdf_bit_for_bit(sigma, n_quad, excl_frac):
+    offsets, weights = anomaly._quadrature(sigma, n_quad, excl_frac * sigma)
+    expected = norm.pdf(offsets, scale=sigma)
+    expected = expected / expected.sum()
+    assert np.array_equal(weights.view(np.int64), expected.view(np.int64))

@@ -1,13 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import overdensity
 from overdensity.cli import main
-from overdensity.dataio import file_sha256, write_particles
+from overdensity.dataio import file_sha256
 from overdensity.flow import load_model
-from overdensity.jets import Particle
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +186,12 @@ def test_features_command_window_and_rejections(tmp_path):
     particles = tmp_path / "particles.csv"
     # ev_wide: two clear jets with substructure but low pair mass;
     # ev_thin: a single particle, rejected outright
-    events = [
-        ("ev_wide", [Particle(300.0, 0.0, 0.0), Particle(90.0, 0.3, 0.2),
-                     Particle(280.0, 0.4, 3.0), Particle(80.0, 0.6, 2.8)]),
-        ("ev_thin", [Particle(50.0, 0.0, 1.0)]),
-    ]
-    write_particles(str(particles), events)
+    particles.write_text("event_id,pt,eta,phi\n"
+                         "ev_wide,300.0,0.0,0.0\n"
+                         "ev_wide,90.0,0.3,0.2\n"
+                         "ev_wide,280.0,0.4,3.0\n"
+                         "ev_wide,80.0,0.6,2.8\n"
+                         "ev_thin,50.0,0.0,1.0\n")
 
     windowed = tmp_path / "windowed.csv"
     assert main(["features", "--particles", str(particles),
@@ -222,3 +225,15 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["score", "--nonsense"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_stats_and_interpolate_out():
+    # both cost about half a second and 40 MB on every run; the package
+    # needs neither (tests use them as oracles)
+    src = os.path.dirname(os.path.dirname(overdensity.__file__))
+    probe = ("import sys, overdensity.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"

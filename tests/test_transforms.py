@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import norm
 
+from overdensity import transforms
 from overdensity.conditional import KnotTable, invert_binned
 from overdensity.errors import FitError, InputError
 from overdensity.transforms import (
@@ -179,3 +180,147 @@ def test_fitted_transform_round_trip(samples):
     assert_allclose(psi_back, psi, rtol=1e-9, atol=1e-9)
     healthy = deriv > 1e-3
     assert_allclose(back[healthy], sample[healthy], rtol=1e-6, atol=1e-6)
+
+
+# -- bit-for-bit oracles: the in-module slopes, quantile knots and normal
+# quantiles against the scipy and numpy functions they reproduce
+
+
+def _assert_same_bits(actual, expected):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), (actual, expected)
+
+
+# knot gaps spanning 6 decades
+wide_gap = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                     st.floats(min_value=1.0, max_value=9.99),
+                     st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def pchip_knots(draw):
+    """Strictly increasing x; y rising, falling or flat between knots, so
+    every sign branch of the slope rules is reached."""
+    n = draw(st.one_of(st.just(2), st.just(3), st.integers(min_value=4, max_value=80)))
+    x = draw(st.floats(min_value=-1e3, max_value=1e3)) + np.cumsum(
+        [0.0] + draw(st.lists(wide_gap, min_size=n - 1, max_size=n - 1)))
+    if draw(st.booleans()):
+        # equal secants: knots on a line, evenly spaced or not
+        y = draw(st.floats(min_value=-5, max_value=5)) * x + draw(finite)
+    else:
+        steps = draw(st.lists(st.one_of(wide_gap, wide_gap.map(lambda g: -g), st.just(0.0)),
+                              min_size=n - 1, max_size=n - 1))
+        y = draw(finite) + np.cumsum([0.0] + steps)
+    return np.asarray(x), np.asarray(y, dtype=float)
+
+
+@given(pchip_knots())
+def test_pchip_slopes_match_scipy_bit_for_bit(knots):
+    x, y = knots
+    assert np.all(np.diff(x) > 0)
+    with np.errstate(divide="ignore"):  # a flat secant, as in scipy
+        slopes = transforms._pchip_slopes(x, y)
+    _assert_same_bits(slopes, PchipInterpolator(x, y).derivative()(x))
+
+
+def test_last_slope_is_evaluated_not_copied():
+    # scipy's derivative at the last knot comes from evaluating the last
+    # interval's cubic, which can round away from the end slope the cubic
+    # was built from; copying the end slope would miss those bits
+    rng = np.random.default_rng(3)
+    rounded_away = 0
+    for _ in range(200):
+        x = np.cumsum(rng.uniform(0.01, 2.0, 12))
+        y = np.cumsum(rng.uniform(0.01, 2.0, 12))
+        h = np.diff(x)
+        m = np.diff(y) / h
+        end = transforms._edge_slope(h[-1], h[-2], m[-1], m[-2])
+        ref = PchipInterpolator(x, y).derivative()(x)
+        rounded_away += ref[-1] != end
+        _assert_same_bits(transforms._pchip_slopes(x, y), ref)
+    assert rounded_away > 0
+
+
+@given(st.data(), st.integers(min_value=2, max_value=80))
+def test_quantile_knots_match_numpy_bit_for_bit(data, n_knots):
+    p, _ = transforms._knot_levels(n_knots)
+    # sizes with (n - 1) p on integers, the minimum size, or any size
+    n = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=20).map(lambda r: 2 * n_knots * r + 1),
+        st.just(2 * n_knots),
+        st.integers(min_value=2 * n_knots, max_value=5000)))
+    if data.draw(st.booleans()):
+        # heavy ties, so several knots coincide
+        values = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                    min_size=n, max_size=n))
+    else:
+        values = data.draw(st.lists(finite, min_size=n, max_size=n))
+    s = np.sort(np.asarray(values, dtype=float))
+    _assert_same_bits(transforms._linear_quantiles(s, p), np.quantile(s, p))
+
+
+def _fit_with_scipy(samples, n_knots):
+    """fit_marginal_transform as written on np.quantile, norm.ppf and
+    PchipInterpolator: the oracle for the in-module fit."""
+    s = np.asarray(samples, dtype=float).ravel()
+    p = (np.arange(n_knots) + 0.5) / n_knots
+    q = np.quantile(s, p)
+    keep = np.concatenate(([True], np.diff(q) > 1e-14 * max(np.ptp(q), np.finfo(float).tiny)))
+    q, z = q[keep], norm.ppf(p[keep])
+    d = PchipInterpolator(q, z).derivative()(q)
+    floor = transforms.DEFAULT_DERIVATIVE_FLOOR
+    d[0] = max(d[0], min(floor, 3.0 * (z[1] - z[0]) / (q[1] - q[0])))
+    d[-1] = max(d[-1], min(floor, 3.0 * (z[-1] - z[-2]) / (q[-1] - q[-2])))
+    return q, z, d
+
+
+@given(st.data(), st.sampled_from([8, 16, 64]))
+def test_fitted_knots_and_slopes_match_the_scipy_fit(data, n_knots):
+    n = data.draw(st.integers(min_value=2 * n_knots, max_value=3000))
+    ties = data.draw(st.booleans())
+    element = st.integers(min_value=0, max_value=5) if ties else finite
+    sample = np.asarray(data.draw(st.lists(element, min_size=n, max_size=n)), dtype=float)
+    if np.ptp(sample) == 0.0 or np.unique(sample).size < 2:
+        return
+    try:
+        q, z, d = _fit_with_scipy(sample, n_knots)
+    except ValueError:  # fewer than 2 distinct knots
+        with pytest.raises(FitError):
+            fit_marginal_transform(sample, n_knots)
+        return
+    t = fit_marginal_transform(sample, n_knots)
+    _assert_same_bits(t.knots_in, q)
+    _assert_same_bits(t.knots_out, z)
+    _assert_same_bits(t.slopes, d)
+
+
+def test_normal_quantile_tables_match_norm_ppf():
+    for n in [*range(2, 130), 1000, 1001, 24576]:
+        p, z = transforms._knot_levels(n)
+        _assert_same_bits(p, (np.arange(n) + 0.5) / n)
+        _assert_same_bits(z, norm.ppf(p))
+        _assert_same_bits(transforms._gaussian_plotting_quantiles(n),
+                          norm.ppf((np.arange(1, n + 1) - 0.5) / n))
+
+
+def test_fit_keeps_its_input_checks():
+    with pytest.raises(InputError, match="finite"):
+        fit_marginal_transform(np.r_[np.arange(40.0), -np.inf], n_knots=8)
+    with pytest.raises(InputError, match="finite"):
+        fit_marginal_transform(np.r_[np.arange(40.0), np.inf], n_knots=8)
+    with pytest.raises(InputError, match="n_knots"):
+        fit_marginal_transform(np.arange(40.0), n_knots=1)
+    with pytest.raises(FitError, match="at least 16"):
+        fit_marginal_transform(np.arange(15.0), n_knots=8)
+    with pytest.raises(FitError, match="zero variance"):
+        fit_marginal_transform(np.full(40, 3.0), n_knots=8)
+    with pytest.raises(InputError, match="strictly increasing"):
+        Marginal1DTransform.from_knots([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(InputError, match="strictly increasing"):
+        Marginal1DTransform.from_knots([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
+    with pytest.raises(InputError, match="finite"):
+        Marginal1DTransform.from_knots([0.0, np.nan, 2.0], [0.0, 1.0, 2.0])
+    with pytest.raises(InputError, match="finite"):
+        wasserstein_1d_to_gaussian(np.array([0.0, np.nan, 1.0]))
