@@ -129,26 +129,6 @@ def write_labels(path, event_ids, labels) -> int:
     return len(event_ids)
 
 
-def read_labels(path):
-    reader = _csv_rows(path, "labels")
-    header = next(reader, None)
-    if header is None or tuple(header) != LABEL_COLUMNS:
-        raise InputError(f"{path}: expected header {','.join(LABEL_COLUMNS)}")
-    ids = []
-    labels = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputError(f"{path} line {line_no}: expected 2 columns")
-        ids.append(row[0])
-        try:
-            labels.append(int(row[1]))
-        except ValueError:
-            raise InputError(f"{path} line {line_no}: bad label {row[1]!r}") from None
-    return ids, np.array(labels, dtype=int)
-
-
 def read_particle_events(path):
     """Yield (event_id, [Particle, ...]) for consecutive event_id groups."""
     from .jets import Particle
@@ -187,20 +167,6 @@ def read_particle_events(path):
         particles.append(particle)
     if current_id is not None:
         yield current_id, particles
-
-
-def write_particles(path, events) -> int:
-    """events: iterable of (event_id, [Particle, ...]); returns row count."""
-    n = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARTICLE_COLUMNS + ("mass",))
-        for event_id, particles in events:
-            for p in particles:
-                writer.writerow([event_id, _fnum(p.pt), _fnum(p.eta),
-                                 _fnum(p.phi), _fnum(p.mass)])
-                n += 1
-    return n
 
 
 def write_scores(path, event_ids, conditionals, report) -> int:

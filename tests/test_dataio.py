@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -8,17 +9,14 @@ from overdensity.anomaly import ScanRow, ScoreConfig, score_events
 from overdensity.dataio import (
     file_sha256,
     read_features,
-    read_labels,
     read_particle_events,
     write_features,
     write_labels,
     write_manifest,
-    write_particles,
     write_scan,
     write_scores,
 )
 from overdensity.errors import InputError
-from overdensity.jets import Particle
 
 
 def test_features_round_trip(tmp_path):
@@ -54,21 +52,19 @@ def test_read_features_reports_bad_cells(tmp_path):
 
 def test_labels_round_trip(tmp_path):
     path = str(tmp_path / "labels.csv")
-    write_labels(path, ["e1", "e2", "e3"], np.array([0, 1, 0]))
-    ids, labels = read_labels(path)
-    assert ids == ["e1", "e2", "e3"]
-    assert np.array_equal(labels, [0, 1, 0])
+    assert write_labels(path, ["e1", "e2", "e3"], np.array([0, 1, 0])) == 3
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["event_id", "is_signal"], ["e1", "0"], ["e2", "1"], ["e3", "0"]]
 
 
 def test_particles_round_trip(tmp_path):
-    path = str(tmp_path / "particles.csv")
-    events = [
-        ("ev0", [Particle(10.0, 0.1, 0.2), Particle(20.0, -1.0, 2.0, mass=0.5)]),
-        ("ev1", [Particle(30.0, 2.0, -2.0)]),
-    ]
-    n = write_particles(path, events)
-    assert n == 3
-    back = list(read_particle_events(path))
+    path = tmp_path / "particles.csv"
+    path.write_text("event_id,pt,eta,phi,mass\n"
+                    "ev0,10.0,0.1,0.2,0.0\n"
+                    "ev0,20.0,-1.0,2.0,0.5\n"
+                    "ev1,30.0,2.0,-2.0,0.0\n")
+    back = list(read_particle_events(str(path)))
     assert [eid for eid, _ in back] == ["ev0", "ev1"]
     assert [len(ps) for _, ps in back] == [2, 1]
     assert back[0][1][1].mass == 0.5
@@ -90,9 +86,6 @@ def test_particle_reader_validates(tmp_path):
 
 def test_readers_reject_undecodable_bytes(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"event_id,is_signal\n1,\xff\n")
-    with pytest.raises(InputError, match="not a text file"):
-        read_labels(str(path))
     path.write_bytes(b"event_id,m,x\n1,0.5,\xff\n")
     with pytest.raises(InputError, match="not a text file"):
         read_features(str(path))
