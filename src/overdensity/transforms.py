@@ -73,8 +73,9 @@ class Marginal1DTransform:
         y = np.ascontiguousarray(knots_out, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise InputError("need matching 1D knot arrays with >= 2 knots")
-        # knots that are not strictly increasing give nonsense here and
-        # are rejected by the constructor
+        # a zero secant divides by zero in the harmonic mean and is then
+        # discarded, as in scipy; knots that are not strictly increasing
+        # give nonsense here and are rejected by the constructor
         with np.errstate(divide="ignore", invalid="ignore"):
             d = _pchip_slopes(x, y)
             secant_lo = (y[1] - y[0]) / (x[1] - x[0])
@@ -223,7 +224,9 @@ def _linear_quantiles(s, p):
     """Quantiles of the ascending sample s at levels p in [0, 1]:
     np.quantile(s, p)'s default linear method, bit for bit, with the
     same arithmetic (virtual index (n - 1) p, and a lerp taken from the
-    upper neighbour where its weight g is >= 0.5)."""
+    upper neighbour where its weight g is >= 0.5).  The one exception is
+    the sign of a zero quantile in a sample holding both 0.0 and -0.0:
+    np.quantile's partition may order the two differently from a sort."""
     v = (s.size - 1) * p
     below = np.floor(v)
     g = v - below
