@@ -4,8 +4,11 @@ Anti-kt clustering with E-scheme recombination, a kt-based exclusive
 declustering for n-subjettiness axes, and the per-event reduction to the
 five dijet features (m_jj, m_j1, m_j1 - m_j2, tau21 of both lead jets).
 
-The clusterer is the plain O(n^2) algorithm with an incrementally updated
-distance matrix - ample for events up to several hundred particles.
+The clusterer keeps every pair distance in a symmetric n x n table, set
+up in one broadcast over all pairs.  A merge refreshes one row and its
+column in a single pass, and each step takes one argmin over the table and
+one over the beam distances.  That is O(n^2) work per step in a handful of
+numpy calls - ample for events up to several hundred particles.
 """
 
 from __future__ import annotations
@@ -91,8 +94,17 @@ def _delta_r2(eta1, phi1, eta2, phi2):
 
 
 class _Cluster:
-    """Mutable pseudojet soup with an incrementally maintained distance
-    matrix.  power = -1 gives anti-kt, +1 gives kt."""
+    """Mutable pseudojet soup with a symmetric pair-distance table.
+    power = -1 gives anti-kt, +1 gives kt.
+
+    d_pair holds each live pair's distance in both triangles and inf on
+    the diagonal and in dead rows and columns, so the first flat argmin is
+    the first minimal (lo, hi) in row-major order of the upper triangle.
+    A pair's value keeps the bits of the call that set it: its row factor
+    is the scalar power pt2[i] ** power (libm pow), its column factor the
+    array power held in pt2_pow (numpy's reciprocal for power -1), which
+    can differ from it in the last bit.
+    """
 
     def __init__(self, particles, R, power):
         self.R2 = R * R
@@ -111,34 +123,33 @@ class _Cluster:
             self.eta[i] = p.eta
             self.phi[i] = p.phi
         self.alive = np.ones(n, dtype=bool)
+        self.n_alive = n
         self.constituents = [[i] for i in range(n)]
-        self.d_beam = self.pt2 ** power
-        self.d_pair = np.full((n, n), np.inf)
-        for i in range(n - 1):
-            self._refresh_pairs(i, np.arange(i + 1, n))
+        self.pt2_pow = self.pt2 ** power
+        self.d_beam = self.pt2_pow.copy()
+        row_pow = np.array([v ** power for v in self.pt2])
+        d = self._distances(self.eta[:, None], self.phi[:, None], row_pow[:, None])
+        # each pair from its lower index: the phi wrap is not antisymmetric
+        idx = np.arange(n)
+        self.d_pair = np.where(idx[:, None] < idx, d, d.T)
+        np.fill_diagonal(self.d_pair, np.inf)
 
-    def _refresh_pairs(self, i, js):
-        if js.size == 0:
-            return
-        dr2 = (self.eta[i] - self.eta[js]) ** 2 \
-            + ((self.phi[i] - self.phi[js] + math.pi) % _TWO_PI - math.pi) ** 2
-        scale = np.minimum(self.pt2[i] ** self.power, self.pt2[js] ** self.power)
-        lo = np.minimum(i, js)
-        hi = np.maximum(i, js)
-        self.d_pair[lo, hi] = scale * dr2 / self.R2
-
-    def n_alive(self):
-        return int(self.alive.sum())
+    def _distances(self, eta, phi, row_pow):
+        dr2 = (eta - self.eta) ** 2 + ((phi - self.phi + math.pi) % _TWO_PI - math.pi) ** 2
+        return np.minimum(row_pow, self.pt2_pow) * dr2 / self.R2
 
     def min_pair(self):
-        flat = int(np.argmin(self.d_pair))
+        flat = int(self.d_pair.argmin())
         i, j = divmod(flat, self.d_pair.shape[1])
         return self.d_pair[i, j], i, j
 
     def min_beam(self):
-        masked = np.where(self.alive, self.d_beam, np.inf)
-        i = int(np.argmin(masked))
-        return masked[i], i
+        i = int(self.d_beam.argmin())
+        if not self.alive[i]:
+            # every live pseudojet has zero pt (d_beam = inf), and argmin
+            # fell on a dead slot: promote the first live one
+            i = int(self.alive.argmax())
+        return self.d_beam[i], i
 
     def merge(self, i, j):
         self.e[i] += self.e[j]
@@ -152,14 +163,20 @@ class _Cluster:
         else:
             self.eta[i] = math.copysign(_ETA_SENTINEL, self.pz[i]) if self.pz[i] else 0.0
         self.phi[i] = math.atan2(self.py[i], self.px[i])
-        self.d_beam[i] = pt2 ** self.power if pt2 > 0 else np.inf
+        row_pow = pt2 ** self.power
+        self.d_beam[i] = row_pow if pt2 > 0 else np.inf
+        self.pt2_pow[i:i + 1] = self.pt2[i:i + 1] ** self.power
         self.constituents[i] = self.constituents[i] + self.constituents[j]
         self._kill(j)
-        others = np.flatnonzero(self.alive)
-        self._refresh_pairs(i, others[others != i])
+        row = self._distances(self.eta[i], self.phi[i], row_pow)
+        row = np.where(self.alive, row, np.inf)
+        row[i] = np.inf
+        self.d_pair[i] = row
+        self.d_pair[:, i] = row
 
     def _kill(self, i):
         self.alive[i] = False
+        self.n_alive -= 1
         self.d_beam[i] = np.inf
         self.d_pair[i, :] = np.inf
         self.d_pair[:, i] = np.inf
@@ -188,7 +205,7 @@ def cluster_antikt(particles, R: float = 1.0) -> list:
         return []
     cl = _Cluster(particles, R, power=-1)
     jets = []
-    while cl.n_alive():
+    while cl.n_alive:
         d_pair, i, j = cl.min_pair()
         d_beam, b = cl.min_beam()
         if d_beam <= d_pair:
@@ -219,7 +236,7 @@ def invariant_mass_pair(jet1: Jet, jet2: Jet) -> float:
 def _exclusive_kt_axes(constituents, n_axes, R):
     """(eta, phi) axes from kt-declustering the constituents to n_axes."""
     cl = _Cluster(constituents, R, power=1)
-    while cl.n_alive() > n_axes:
+    while cl.n_alive > n_axes:
         _, i, j = cl.min_pair()
         cl.merge(i, j)
     return [cl.axis_from_slot(i) for i in np.flatnonzero(cl.alive)]

@@ -1,8 +1,9 @@
 import math
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from overdensity.errors import EventRejected, InputError
 from overdensity.jets import (
@@ -15,7 +16,13 @@ from overdensity.jets import (
     tau21,
     wrap_phi,
 )
-from reference_clustering import ref_cluster, ref_nsubjettiness
+from reference_clustering import (
+    matrix_cluster_antikt,
+    matrix_extract_features,
+    matrix_nsubjettiness,
+    ref_cluster,
+    ref_nsubjettiness,
+)
 
 
 def _random_event(rng, n):
@@ -186,3 +193,65 @@ def test_clustering_partition_property(n, seed):
     assert seen == list(range(n))
     pts = [j.pt for j in jets]
     assert pts == sorted(pts, reverse=True)
+
+
+_TIE_PTS = (40.566, 26.352)
+
+
+def _jet_bits(jets):
+    return [(j.e, j.px, j.py, j.pz, j.constituent_indices) for j in jets]
+
+
+def _features_or_reason(extract, particles, R):
+    try:
+        return extract(particles, R).to_row()
+    except EventRejected as exc:
+        return exc.reason
+
+
+@settings(max_examples=60)
+@example(n=250, R=1.0, ties=False, seed=0)
+@example(n=250, R=1.5, ties=True, seed=0)
+@given(st.integers(min_value=1, max_value=250),
+       st.sampled_from([0.4, 1.0, 1.5]),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_clusterer_matches_matrix_oracle_bit_for_bit(n, R, ties, seed):
+    rng = np.random.default_rng(seed)
+    if ties:
+        # two pt values on a dyadic eta/phi grid, so many pair distances
+        # are exactly equal and the tie rules decide the merge order; for
+        # both, libm pow(pt^2, -1) and numpy's 1 / pt^2 differ in the last
+        # bit, so a pair that takes its row factor from the wrong one
+        # breaks a tie the other way
+        particles = [Particle(pt=_TIE_PTS[k], eta=a / 8.0, phi=b / 8.0)
+                     for k, a, b in zip(rng.integers(0, 2, n), rng.integers(-16, 17, n),
+                                        rng.integers(-25, 26, n))]
+    else:
+        particles = _random_event(rng, n)
+    jets = cluster_antikt(particles, R)
+    oracle = matrix_cluster_antikt(particles, R)
+    assert _jet_bits(jets) == _jet_bits(oracle)
+    for jet, ref in zip(jets, oracle):
+        for k in (1, 2, 3):
+            assert nsubjettiness(jet, k, R) == matrix_nsubjettiness(ref, k, R)
+    assert _features_or_reason(extract_features, particles, R) == \
+        _features_or_reason(matrix_extract_features, particles, R)
+
+
+def test_zero_pt_pseudojet_is_promoted_once():
+    # at R = 4 the back-to-back soft pair merges first; their px and py
+    # cancel exactly, so the merged pseudojet has d_beam = inf while the
+    # hard particle, promoted before it, leaves a dead slot below it
+    particles = [Particle(pt=100.0, eta=4.5, phi=0.0),
+                 Particle(pt=3.0, eta=0.0, phi=-2.456761473743528),
+                 Particle(pt=3.0, eta=0.0, phi=0.684831179846265)]
+    result = []
+    worker = threading.Thread(target=lambda: result.append(cluster_antikt(particles, R=4.0)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=20.0)
+    assert not worker.is_alive(), "cluster_antikt did not terminate"
+    jets = result[0]
+    assert sorted(i for j in jets for i in j.constituent_indices) == [0, 1, 2]
+    assert [j.pt for j in jets] == [100.0, 0.0]
