@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ def _parse_float(token, path, line_no, column):
     except ValueError:
         raise InputError(f"{path} line {line_no}, column '{column}': "
                          f"not a number: {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InputError(f"{path} line {line_no}, column '{column}': "
                          f"non-finite value {token!r}")
     return value

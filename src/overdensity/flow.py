@@ -299,7 +299,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
 
 
 def _fmt(values):
-    return " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))
+    return " ".join(format(v, ".17g") for v in np.atleast_1d(values).tolist())
 
 
 def save_model(model: FlowModel, path) -> None:

@@ -40,9 +40,13 @@ def test_read_features_reports_bad_cells(tmp_path):
     path.write_text("event_id,m,x\n1,2.0,fish\n")
     with pytest.raises(InputError, match=r"line 2.*'x'"):
         read_features(str(path))
-    path.write_text("event_id,m,x\n1,inf,1.0\n")
-    with pytest.raises(InputError, match="finite"):
-        read_features(str(path))
+    for token in ("inf", "-inf", "nan", "1e400"):
+        path.write_text(f"event_id,m,x\n1,2.0,1.0\n2,2.0,{token}\n")
+        with pytest.raises(InputError, match=f"line 3, column 'x': non-finite value '{token}'"):
+            read_features(str(path))
+        path.write_text(f"event_id,m,x\n1,{token},1.0\n")
+        with pytest.raises(InputError, match=f"line 2, column 'm': non-finite value '{token}'"):
+            read_features(str(path))
     path.write_text("event_id,m\n1,2.0\n")
     with pytest.raises(InputError):
         read_features(str(path))
@@ -79,6 +83,13 @@ def test_particle_reader_validates(tmp_path):
     path.write_text("pt,eta,phi\n1,2,3\n")
     with pytest.raises(InputError, match="header"):
         list(read_particle_events(str(path)))
+    for token in ("-inf", "nan", "1e400"):
+        path.write_text(f"event_id,pt,eta,phi,mass\n1,5.0,0.0,0.0,0.0\n1,5.0,{token},0.0,0.0\n")
+        with pytest.raises(InputError, match=f"line 3, column 'eta': non-finite value '{token}'"):
+            list(read_particle_events(str(path)))
+        path.write_text(f"event_id,pt,eta,phi,mass\n1,5.0,0.0,0.0,{token}\n")
+        with pytest.raises(InputError, match=f"line 2, column 'mass': non-finite value '{token}'"):
+            list(read_particle_events(str(path)))
     path.write_bytes(b"event_id,pt,eta,phi\n1,5.0,0.0,\xff\n")
     with pytest.raises(InputError, match="not a text file"):
         list(read_particle_events(str(path)))
