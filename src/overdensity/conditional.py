@@ -104,102 +104,111 @@ def build_binning(m_values, n_bins: int, min_occupancy: int = 2) -> ConditionalB
 # -- vectorized evaluation of a slice's per-bin transforms --------------------
 
 class KnotTable:
-    """The per-bin transforms of one slice, stacked for row-wise evaluation.
+    """The per-bin transforms of one slice as a table of cubic segments.
 
-    Row b of knots_in / knots_out / slopes holds bin b's knot table,
-    padded to a power-of-two width of at least the longest knot count
-    (knot arrays with +inf, slopes with 0); n_knots, the end knots, tail
-    slopes and derivative floors are kept per bin.  Built once per
-    (layer, slice), so evaluating any mix of bins costs a fixed number of
-    array operations.
+    Bin b owns `stride` = (longest knot count + 1) consecutive slots.  With
+    n knots, slot 0 is the low tail, slots 1 .. n-1 hold knot segments
+    0 .. n-2 and slot n the high tail; any further slots repeat the high
+    tail.  Each slot stores the columns of `segments`: anchor x, width h,
+    value a, slope d0 and the Hermite coefficients c2, c3, computed once
+    with Marginal1DTransform.transform's expressions.  A tail is a segment
+    anchored at its end knot with h = 1, d0 = the tail slope and
+    c2 = c3 = 0, so one cubic serves every slot.
+
+    `edges` holds each bin's search row: x_0 .. x_{n-2}, then
+    nextafter(x_{n-1}, +inf), so that the last knot itself falls in the
+    last segment, then NaN padding.  NaN <= y is false for every y, so the
+    count of row entries <= y is one of the bin's own n + 1 slots, even
+    for y = +inf.  Built once per (layer, slice), so evaluating any mix of
+    bins costs a fixed number of array operations.
     """
 
     def __init__(self, transforms):
         n_bins = len(transforms)
         self.n_knots = np.array([tr.knots_in.size for tr in transforms])
-        # a power of two, so segment() needs no bounds check
-        self.width = 1 << (int(self.n_knots.max()) - 1).bit_length()
-        self.knots_in = np.full((n_bins, self.width), np.inf)
-        self.knots_out = np.full((n_bins, self.width), np.inf)
-        self.slopes = np.zeros((n_bins, self.width))
-        for b, tr in enumerate(transforms):
-            self.knots_in[b, :tr.knots_in.size] = tr.knots_in
-            self.knots_out[b, :tr.knots_in.size] = tr.knots_out
-            self.slopes[b, :tr.knots_in.size] = tr.slopes
-        last = self.n_knots - 1
-        rows = np.arange(n_bins)
-        self.first_in = self.knots_in[:, 0].copy()
-        self.last_in = self.knots_in[rows, last]
-        self.first_out = self.knots_out[:, 0].copy()
-        self.last_out = self.knots_out[rows, last]
-        self.tail_lo = np.array([tr.tail_slopes[0] for tr in transforms], dtype=float)
-        self.tail_hi = np.array([tr.tail_slopes[1] for tr in transforms], dtype=float)
+        self.stride = int(self.n_knots.max()) + 1
+        # every bin's knots end to end; ends / starts index its last / first
+        x = np.concatenate([tr.knots_in for tr in transforms])
+        y = np.concatenate([tr.knots_out for tr in transforms])
+        d = np.concatenate([tr.slopes for tr in transforms])
+        ends = np.cumsum(self.n_knots) - 1
+        starts = ends + 1 - self.n_knots
+        # knot k of bin b is entry k of b's search row and starts the
+        # segment in b's slot k + 1
+        at = np.arange(x.size) + np.repeat(np.arange(n_bins) * self.stride - starts,
+                                           self.n_knots)
+        j = np.delete(np.arange(x.size), ends)  # the first knot of each segment
+        h = x[j + 1] - x[j]
+        delta = (y[j + 1] - y[j]) / h
+        d0 = d[j]
+        d1 = d[j + 1]
+        c2 = 3.0 * delta - 2.0 * d0 - d1
+        c3 = d0 + d1 - 2.0 * delta
+
+        tails = np.array([tr.tail_slopes for tr in transforms], dtype=float)
+        segments = np.zeros((6, n_bins, self.stride))
+        segments[1] = 1.0  # the tails' h; their c2 and c3 stay 0
+        for row, low, high in ((0, x[starts], x[ends]), (2, y[starts], y[ends]),
+                               (3, tails[:, 0], tails[:, 1])):
+            segments[row] = high[:, None]
+            segments[row, :, 0] = low
+        # one row per column, so a single take gathers all six
+        self.segments = segments.reshape(6, -1)
+        self.segments[:, at[j] + 1] = (x[j], h, y[j], d0, c2, c3)
+        self.edges = np.full(n_bins * self.stride, np.nan)
+        self.edges[at[j]] = x[j]
+        self.edges[at[ends]] = np.nextafter(x[ends], np.inf)
         self.floor = np.array([tr.derivative_floor for tr in transforms], dtype=float)
 
-    def segment(self, knots, bin_idx, v):
-        """Flat index into knots (knots_in or knots_out, raveled) of the
-        cubic segment holding v in each row's bin.
 
-        Equals clip(searchsorted(row, v, "right") - 1, 0, n - 2) for v at
-        or above the bin's first knot, found by log2(width) rounds of
-        gather + compare over the padded rows.
-        """
-        base = bin_idx * self.width
-        count = np.ones(bin_idx.shape, dtype=np.intp)  # knots <= v, first one known
-        step = self.width // 2
-        while step:
-            count += step * (knots[base + count + (step - 1)] <= v)
-            step //= 2
-        return base + np.minimum(count, self.n_knots[bin_idx] - 1) - 1
+def _count_le(row, start, width, v):
+    """start[i] plus the count of row[start[i] : start[i] + width] that
+    are <= v[i], for rows ascending (NaN counting as above all); it reads
+    nothing outside that window."""
+    p = start.copy()
+    while width > 1:
+        half = width // 2
+        p += half * (row[half - 1:].take(p) <= v)  # row[p + half - 1] <= v
+        width -= half
+    p += row.take(p) <= v
+    return p
 
 
 def eval_binned(table: KnotTable, bin_idx, y):
     """Evaluate bin bin_idx[i]'s transform at y[i]; returns (psi, deriv).
 
-    Row for row bit-identical to Marginal1DTransform.transform: the same
-    Hermite, linear-tail and floor expressions in the same order.
+    Row for row bit-identical to Marginal1DTransform.transform for finite
+    y: the same Hermite expressions in the same order; on a tail
+    h * t = t, and the cubic terms add a signed zero to a positive slope.
+    An infinite y gives NaN (inf * 0 in the cubic terms).
     """
-    x0 = table.first_in[bin_idx]
-    xl = table.last_in[bin_idx]
-    # tail rows are evaluated at the nearest end knot, then replaced below
-    v = np.minimum(np.maximum(y, x0), xl)
-    x, yk, d = table.knots_in.ravel(), table.knots_out.ravel(), table.slopes.ravel()
-    i = table.segment(x, bin_idx, v)
-    h = x[i + 1] - x[i]
-    t = (v - x[i]) / h
-    delta = (yk[i + 1] - yk[i]) / h
-    d0 = d[i]
-    d1 = d[i + 1]
-    c2 = 3.0 * delta - 2.0 * d0 - d1
-    c3 = d0 + d1 - 2.0 * delta
-    psi = yk[i] + h * t * (d0 + t * (c2 + t * c3))
+    y = np.ascontiguousarray(y, dtype=float)
+    slot = _count_le(table.edges, bin_idx * table.stride, table.stride, y)
+    x, h, a, d0, c2, c3 = np.take(table.segments, slot, axis=1)
+    t = (y - x) / h
+    psi = a + h * t * (d0 + t * (c2 + t * c3))
     deriv = d0 + t * (2.0 * c2 + 3.0 * t * c3)
-
-    below = y < x0
-    above = y > xl
-    tail_lo = table.tail_lo[bin_idx]
-    tail_hi = table.tail_hi[bin_idx]
-    psi = np.where(below, table.first_out[bin_idx] + tail_lo * (y - x0), psi)
-    psi = np.where(above, table.last_out[bin_idx] + tail_hi * (y - xl), psi)
-    deriv = np.where(below, tail_lo, np.where(above, tail_hi, deriv))
-    return psi, np.maximum(deriv, table.floor[bin_idx])
+    return psi, np.maximum(deriv, table.floor[bin_idx], out=deriv)
 
 
 def invert_binned(table: KnotTable, bin_idx, z):
     """Invert bin bin_idx[i]'s transform at z[i]: exact on the tails,
     safeguarded Newton inside the bracketing knot segment."""
-    y0 = table.first_out[bin_idx]
-    yl = table.last_out[bin_idx]
-    below = z < y0
-    above = z > yl
-    y = np.where(below, table.first_in[bin_idx] + (z - y0) / table.tail_lo[bin_idx],
-                 table.last_in[bin_idx] + (z - yl) / table.tail_hi[bin_idx])
+    x, _, yk, d, _, _ = table.segments
+    base = bin_idx * table.stride
+    last = base + table.n_knots[bin_idx]  # the high-tail slot
+    below = z < yk[base]
+    above = z > yk[last]
+    y = np.where(below, x[base] + (z - yk[base]) / d[base],
+                 x[last] + (z - yk[last]) / d[last])
     inner = ~(below | above)
     if np.any(inner):
         b = bin_idx[inner]
         zi = z[inner]
-        x, yk = table.knots_in.ravel(), table.knots_out.ravel()
-        i = table.segment(yk, b, zi)
+        # slots 1 .. n hold knot outputs y_0 .. y_{n-1} as their values; the
+        # segment j with y_j <= z sits in slot j + 1, and z = y_{n-1} takes
+        # the last one
+        i = np.minimum(_count_le(yk, base[inner] + 1, table.stride - 1, zi) - 1, last[inner] - 1)
         # secant initial guess inside the bracketing segment
         v = x[i] + (zi - yk[i]) * (x[i + 1] - x[i]) / (yk[i + 1] - yk[i])
         y[inner] = safeguarded_newton(lambda rows, u: eval_binned(table, b[rows], u),
