@@ -206,6 +206,9 @@ def _pchip_slopes(x, y):
     c0 = t / width
     c1 = (slope - d0) / width - t
     d[-1] = (d0 + (2 * c1) * width) + (3 * c0) * (width * width)
+    # scipy sums each derivative from +0.0, so a zero slope is never -0.0
+    # there: subnormal secants can overflow w / m and give 1 / -inf here
+    d += 0.0
     return d
 
 
