@@ -160,15 +160,21 @@ class _Cluster:
         self.pt2[i] = pt2
         if pt2 > 0:
             self.eta[i] = math.asinh(self.pz[i] / math.sqrt(pt2))
+            row_pow = pt2 ** self.power
+            col_pow = self.pt2[i:i + 1] ** self.power
+            self.d_beam[i] = row_pow
         else:
             self.eta[i] = math.copysign(_ETA_SENTINEL, self.pz[i]) if self.pz[i] else 0.0
+            # 0 ** power, without numpy's division-by-zero warning
+            row_pow = col_pow = math.inf if self.power < 0 else 0.0
+            self.d_beam[i] = np.inf
         self.phi[i] = math.atan2(self.py[i], self.px[i])
-        row_pow = pt2 ** self.power
-        self.d_beam[i] = row_pow if pt2 > 0 else np.inf
-        self.pt2_pow[i:i + 1] = self.pt2[i:i + 1] ** self.power
         self.constituents[i] = self.constituents[i] + self.constituents[j]
         self._kill(j)
+        # slot i's own entry is discarded, so its column factor is set only
+        # after the row: an infinite one would meet dR = 0 there (inf * 0)
         row = self._distances(self.eta[i], self.phi[i], row_pow)
+        self.pt2_pow[i:i + 1] = col_pow
         row = np.where(self.alive, row, np.inf)
         row[i] = np.inf
         self.d_pair[i] = row

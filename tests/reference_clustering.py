@@ -13,6 +13,7 @@ package's clusterer to compare the current one with bit for bit.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,8 @@ def _phi_diff(a, b):
 
 
 class RefJet:
+    # a jet never changes once made (merging makes a new one), so its
+    # kinematics are computed once
     def __init__(self, e, px, py, pz, indices):
         self.e = e
         self.px = px
@@ -45,15 +48,15 @@ class RefJet:
         self.pz = pz
         self.indices = indices
 
-    @property
+    @cached_property
     def pt(self):
         return math.hypot(self.px, self.py)
 
-    @property
+    @cached_property
     def phi(self):
         return math.atan2(self.py, self.px)
 
-    @property
+    @cached_property
     def eta(self):
         p = math.sqrt(self.px ** 2 + self.py ** 2 + self.pz ** 2)
         if p == abs(self.pz):

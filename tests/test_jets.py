@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -249,9 +250,12 @@ def test_zero_pt_pseudojet_is_promoted_once():
     result = []
     worker = threading.Thread(target=lambda: result.append(cluster_antikt(particles, R=4.0)),
                               daemon=True)
-    worker.start()
-    worker.join(timeout=20.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        worker.start()
+        worker.join(timeout=20.0)
     assert not worker.is_alive(), "cluster_antikt did not terminate"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     jets = result[0]
     assert sorted(i for j in jets for i in j.constituent_indices) == [0, 1, 2]
     assert [j.pt for j in jets] == [100.0, 0.0]
