@@ -182,7 +182,7 @@ def eval_binned(table: KnotTable, bin_idx, y):
     h * t = t, and the cubic terms add a signed zero to a positive slope.
     An infinite y gives NaN (inf * 0 in the cubic terms).
     """
-    y = np.ascontiguousarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)  # read once per search round
     slot = _count_le(table.edges, bin_idx * table.stride, table.stride, y)
     x, h, a, d0, c2, c3 = np.take(table.segments, slot, axis=1)
     t = (y - x) / h
@@ -205,10 +205,11 @@ def invert_binned(table: KnotTable, bin_idx, z):
     if np.any(inner):
         b = bin_idx[inner]
         zi = z[inner]
-        # slots 1 .. n hold knot outputs y_0 .. y_{n-1} as their values; the
-        # segment j with y_j <= z sits in slot j + 1, and z = y_{n-1} takes
-        # the last one
-        i = np.minimum(_count_le(yk, base[inner] + 1, table.stride - 1, zi) - 1, last[inner] - 1)
+        # slots 1 .. n hold knot outputs y_0 .. y_{n-1} as their values, so
+        # the last of them <= z is the slot of the segment from y_j <= z to
+        # y_{j+1}; z = y_{n-1} takes the last segment
+        slot = _count_le(yk, base[inner] + 1, table.stride - 1, zi) - 1
+        i = np.minimum(slot, last[inner] - 1)
         # secant initial guess inside the bracketing segment
         v = x[i] + (zi - yk[i]) * (x[i + 1] - x[i]) / (yk[i + 1] - yk[i])
         y[inner] = safeguarded_newton(lambda rows, u: eval_binned(table, b[rows], u),
