@@ -182,7 +182,7 @@ def eval_binned(table: KnotTable, bin_idx, y):
     h * t = t, and the cubic terms add a signed zero to a positive slope.
     An infinite y gives NaN (inf * 0 in the cubic terms).
     """
-    y = np.ascontiguousarray(y, dtype=float)  # read once per search round
+    y = np.ascontiguousarray(y, dtype=float)  # every search round reads all of y
     slot = _count_le(table.edges, bin_idx * table.stride, table.stride, y)
     x, h, a, d0, c2, c3 = np.take(table.segments, slot, axis=1)
     t = (y - x) / h
