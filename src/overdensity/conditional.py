@@ -221,12 +221,18 @@ def interpolated_transform(table: KnotTable, lo, hi, t, y):
     """Forward map through the bin-interpolated transform, elementwise.
 
     Returns (psi, deriv); derivatives are already clamped per transform,
-    and a convex combination keeps the clamp.
+    and a convex combination keeps the clamp.  Both bins are evaluated in
+    one eval_binned call: every row in its lo bin, then the mixed rows
+    (t > 0) in their hi bin.
     """
-    psi, deriv = eval_binned(table, lo, y)
-    mixed = t > 0
-    if np.any(mixed):
-        psi_hi, d_hi = eval_binned(table, hi[mixed], y[mixed])
+    y = np.asarray(y, dtype=float)
+    mixed = np.flatnonzero(t > 0)
+    psi, deriv = eval_binned(table, np.concatenate((lo, hi[mixed])),
+                             np.concatenate((y, y[mixed])))
+    n = y.size
+    psi_hi, d_hi = psi[n:], deriv[n:]
+    psi, deriv = psi[:n], deriv[:n]
+    if mixed.size:
         tm = t[mixed]
         psi[mixed] = (1.0 - tm) * psi[mixed] + tm * psi_hi
         deriv[mixed] = (1.0 - tm) * deriv[mixed] + tm * d_hi

@@ -21,7 +21,9 @@ import csv
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,8 +35,40 @@ SCORE_COLUMNS = ("event_id", "m", "alpha", "p_signal", "p_background", "clamped_
 SCAN_COLUMNS = ("m_lo", "m_hi", "count", "alpha_max", "alpha_p99")
 
 
+# rows converted to Python numbers at a time by _number_rows
+_BLOCK_ROWS = 4096
+
+
 def _fnum(x) -> str:
     return repr(float(x))
+
+
+def _quote(field: str) -> str:
+    """A text field as csv.writer's QUOTE_MINIMAL writes it: quoted if it
+    holds ',', '"', CR or LF, with the quotes inside doubled."""
+    if "," in field or '"' in field or "\r" in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header and rows byte for byte as csv.writer's default
+    dialect does, streamed through one writelines.  Row fields are str,
+    quoted where text needs it (_number_rows quotes its text column)."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in chain([map(_quote, header)], rows))
+
+
+def _number_rows(text, *columns):
+    """Rows (quoted text[i], *cells) with each numeric column's cell the
+    repr of its tolist() value: floats at shortest round-trip precision,
+    ints as digits, neither ever quoted.  Columns go to Python numbers a
+    block of rows at a time."""
+    for start in range(0, len(text), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield from zip(map(_quote, text[start:stop]),
+                       *(map(repr, c[start:stop].tolist()) for c in columns))
 
 
 def _parse_float(token, path, line_no, column):
@@ -84,12 +118,9 @@ def write_features(path, event_ids, conditional_name, conditionals,
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
         features = features[:, None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_id", conditional_name, *feature_names])
-        for i, event_id in enumerate(event_ids):
-            writer.writerow([event_id, _fnum(conditionals[i]),
-                             *(_fnum(v) for v in features[i])])
+    _write_csv(path, ["event_id", conditional_name, *feature_names],
+               _number_rows(event_ids, np.asarray(conditionals, dtype=float),
+                            *features.T))
     return len(event_ids)
 
 
@@ -100,33 +131,33 @@ def read_features(path) -> FeatureTable:
         raise InputError(f"{path}: empty file, expected a header row")
     if len(header) < 3 or header[0] != "event_id":
         raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
-    conditional_name = header[1]
-    feature_names = header[2:]
     ids = []
-    cond = []
-    rows = []
+    values = array("d")  # each row's conditional and features, end to end
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise InputError(f"{path} line {line_no}: expected {len(header)} "
                              f"columns, got {len(row)}")
+        try:
+            cells = list(map(float, row[1:]))
+        except ValueError:
+            cells = None
+        if cells is None or not all(map(math.isfinite, cells)):
+            # raises, naming the first bad cell
+            for token, name in zip(row[1:], header[1:]):
+                _parse_float(token, path, line_no, name)
         ids.append(row[0])
-        cond.append(_parse_float(row[1], path, line_no, conditional_name))
-        rows.append([_parse_float(tok, path, line_no, name)
-                     for tok, name in zip(row[2:], feature_names)])
-    features = np.array(rows, dtype=float) if rows else np.zeros((0, len(feature_names)))
-    return FeatureTable(event_ids=ids, conditional_name=conditional_name,
-                        conditionals=np.array(cond, dtype=float),
-                        feature_names=feature_names, features=features)
+        values.extend(cells)
+    table = np.frombuffer(values, dtype=float).reshape(-1, len(header) - 1)
+    return FeatureTable(event_ids=ids, conditional_name=header[1],
+                        conditionals=table[:, 0].copy(), feature_names=header[2:],
+                        features=np.ascontiguousarray(table[:, 1:]))
 
 
 def write_labels(path, event_ids, labels) -> int:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_COLUMNS)
-        for event_id, label in zip(event_ids, labels):
-            writer.writerow([event_id, int(label)])
+    _write_csv(path, LABEL_COLUMNS,
+               _number_rows(event_ids, np.asarray(labels).astype(int)))
     return len(event_ids)
 
 
@@ -171,26 +202,19 @@ def read_particle_events(path):
 
 
 def write_scores(path, event_ids, conditionals, report) -> int:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_COLUMNS)
-        for i, event_id in enumerate(event_ids):
-            writer.writerow([event_id, _fnum(conditionals[i]), _fnum(report.alphas[i]),
-                             _fnum(report.p_signal[i]), _fnum(report.p_background[i]),
-                             int(report.clamped[i])])
+    _write_csv(path, SCORE_COLUMNS, _number_rows(
+        event_ids, *(np.asarray(c, dtype=float) for c in (
+            conditionals, report.alphas, report.p_signal, report.p_background)),
+        np.asarray(report.clamped).astype(int)))
     return len(event_ids)
 
 
 def write_scan(path, rows) -> int:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                _fnum(row.m_lo), _fnum(row.m_hi), row.count,
-                "" if row.alpha_max is None else _fnum(row.alpha_max),
-                "" if row.alpha_p99 is None else _fnum(row.alpha_p99),
-            ])
+    _write_csv(path, SCAN_COLUMNS, ([
+        _fnum(row.m_lo), _fnum(row.m_hi), str(row.count),
+        "" if row.alpha_max is None else _fnum(row.alpha_max),
+        "" if row.alpha_p99 is None else _fnum(row.alpha_p99),
+    ] for row in rows))
     return len(rows)
 
 

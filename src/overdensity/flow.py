@@ -299,7 +299,9 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
 
 
 def _fmt(values):
-    return " ".join(format(v, ".17g") for v in np.atleast_1d(values).tolist())
+    # one % call per row: the same bytes as format(v, ".17g") per value
+    row = np.atleast_1d(values).tolist()
+    return ("%.17g " * len(row))[:-1] % tuple(row)
 
 
 def save_model(model: FlowModel, path) -> None:
@@ -346,6 +348,20 @@ def load_model(path) -> FlowModel:
         raise InputError(f"malformed model file {path}: {exc}") from exc
 
 
+def _transforms_from_knots(knots, floor):
+    """The transforms of (knots_in, knots_out) pairs, in order, built one
+    knot count at a time by Marginal1DTransform.from_knot_rows."""
+    rows_by_count = {}
+    for i, (knots_in, _) in enumerate(knots):
+        rows_by_count.setdefault(len(knots_in), []).append(i)
+    built = [None] * len(knots)
+    for rows in rows_by_count.values():
+        for i, tr in zip(rows, Marginal1DTransform.from_knot_rows(
+                [knots[i][0] for i in rows], [knots[i][1] for i in rows], floor)):
+            built[i] = tr
+    return built
+
+
 def _parse_model(lines) -> FlowModel:
     pos = 1
 
@@ -383,22 +399,21 @@ def _parse_model(lines) -> FlowModel:
         W = np.array([[float(v) for v in take().split()] for _ in range(dim)])
         if W.shape != (dim, n_slices):
             raise InputError("malformed slice matrix in model file")
-        transforms = []
+        knots = []  # (knots_in, knots_out) of each transform, bin-major
         for b in range(n_bins):
-            per_bin = []
             for k in range(n_slices):
                 meta = take_field("transform")
                 if int(meta[0]) != b or int(meta[1]) != k:
                     raise InputError("transform blocks out of order in model file")
                 n_knots = int(meta[2])
-                knots_in = np.array([float(v) for v in take().split()])
-                knots_out = np.array([float(v) for v in take().split()])
-                if knots_in.size != n_knots or knots_out.size != n_knots:
+                knots_in = list(map(float, take().split()))
+                knots_out = list(map(float, take().split()))
+                if len(knots_in) != n_knots or len(knots_out) != n_knots:
                     raise InputError("knot table size mismatch in model file")
-                per_bin.append(Marginal1DTransform.from_knots(
-                    knots_in, knots_out, derivative_floor=floor))
-            transforms.append(per_bin)
-        layers.append(GisLayer(weights=W, transforms=transforms))
+                knots.append((knots_in, knots_out))
+        built = _transforms_from_knots(knots, floor)
+        layers.append(GisLayer(weights=W, transforms=[
+            built[b * n_slices:(b + 1) * n_slices] for b in range(n_bins)]))
     if take().strip() != "end":
         raise InputError("missing end marker in model file")
 

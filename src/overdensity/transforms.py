@@ -20,6 +20,13 @@ from .errors import FitError, InputError
 DEFAULT_KNOTS = 64
 DEFAULT_DERIVATIVE_FLOOR = 1e-6
 
+# indices along a knot (or interval) axis: the two ends, the entry next
+# to each end, and the first knots and the last knots of the first and
+# the last interval
+_ENDS = np.array([0, -1])
+_END_NEIGHBOURS = np.array([1, -2])
+_END_INTERVALS = (np.array([0, -2]), np.array([1, -1]))
+
 # Residual tolerance (z-space, relative) for the numeric inverse.
 _INVERT_RTOL = 1e-12
 _INVERT_MAX_ITER = 200
@@ -33,7 +40,8 @@ class Marginal1DTransform:
     slopes holds the interpolant derivative at each knot; tail_slopes
     are the linear extrapolation slopes below/above the knot range.
     Reported derivatives are clamped at derivative_floor so the log
-    derivative stays finite.
+    derivative stays finite.  Build transforms with from_knots or
+    from_knot_rows, which check the knots (_checked_slopes).
     """
 
     knots_in: np.ndarray
@@ -42,54 +50,31 @@ class Marginal1DTransform:
     derivative_floor: float
     slopes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.knots_in = np.ascontiguousarray(self.knots_in, dtype=float)
-        self.knots_out = np.ascontiguousarray(self.knots_out, dtype=float)
-        self.slopes = np.ascontiguousarray(self.slopes, dtype=float)
-        if self.knots_in.ndim != 1 or self.knots_in.shape != self.knots_out.shape:
-            raise InputError("knots_in and knots_out must be 1D arrays of equal length")
-        if self.knots_in.size < 2:
-            raise InputError("need at least 2 knots")
-        if not (np.all(np.isfinite(self.knots_in)) and np.all(np.isfinite(self.knots_out))):
-            raise InputError("knots must be finite")
-        if np.any(np.diff(self.knots_in) <= 0) or np.any(np.diff(self.knots_out) <= 0):
-            raise InputError("knots must be strictly increasing")
-        if not (self.derivative_floor > 0):
-            raise InputError("derivative_floor must be positive")
-        if not (self.tail_slopes[0] > 0 and self.tail_slopes[1] > 0):
-            raise InputError("tail slopes must be positive")
-
     @classmethod
     def from_knots(cls, knots_in, knots_out, derivative_floor=DEFAULT_DERIVATIVE_FLOOR):
-        """Build a transform from knot tables, deriving monotone slopes.
-
-        Slopes come from monotone piecewise-cubic (Fritsch-Carlson)
-        interpolation (_pchip_slopes), so the map is strictly increasing
-        wherever the knots are.  Endpoint slopes of zero are raised
-        slightly (within the monotonicity bound) so the tails stay
-        invertible.
-        """
-        x = np.ascontiguousarray(knots_in, dtype=float)
-        y = np.ascontiguousarray(knots_out, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        """Build a transform from knot tables, deriving monotone slopes
+        (_checked_slopes)."""
+        x = np.array(knots_in, dtype=float)
+        y = np.array(knots_out, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape:
             raise InputError("need matching 1D knot arrays with >= 2 knots")
-        # a zero secant divides by zero in the harmonic mean and is then
-        # discarded, as in scipy; knots that are not strictly increasing
-        # give nonsense here and are rejected by the constructor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = _pchip_slopes(x, y)
-            secant_lo = (y[1] - y[0]) / (x[1] - x[0])
-            secant_hi = (y[-1] - y[-2]) / (x[-1] - x[-2])
-        d[0] = max(d[0], min(derivative_floor, 3.0 * secant_lo))
-        d[-1] = max(d[-1], min(derivative_floor, 3.0 * secant_hi))
-        tails = (max(d[0], derivative_floor), max(d[-1], derivative_floor))
-        return cls(
-            knots_in=x,
-            knots_out=y,
-            tail_slopes=tails,
-            derivative_floor=float(derivative_floor),
-            slopes=d,
-        )
+        d, tails = _checked_slopes(x, y, derivative_floor)
+        return cls(knots_in=x, knots_out=y, tail_slopes=tuple(tails.tolist()),
+                   derivative_floor=float(derivative_floor), slopes=d)
+
+    @classmethod
+    def from_knot_rows(cls, knots_in, knots_out, derivative_floor=DEFAULT_DERIVATIVE_FLOOR):
+        """One transform per row of the (rows, n) knot tables, all rows
+        built in one vectorized pass (_checked_slopes)."""
+        x = np.array(knots_in, dtype=float, ndmin=2)
+        y = np.array(knots_out, dtype=float, ndmin=2)
+        if x.ndim != 2 or x.shape != y.shape:
+            raise InputError("need matching 1D knot arrays with >= 2 knots")
+        d, tails = _checked_slopes(x, y, derivative_floor)
+        floor = float(derivative_floor)
+        return [cls(knots_in=xi, knots_out=yi, tail_slopes=tuple(ti),
+                    derivative_floor=floor, slopes=di)
+                for xi, yi, ti, di in zip(x, y, tails.tolist(), d)]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -163,22 +148,61 @@ def safeguarded_newton(evaluate, z, v, lo, hi):
     return v
 
 
+def _checked_slopes(x, y, derivative_floor):
+    """Knot slopes and (low, high) tail slopes of the knot tables x -> y,
+    along the last axis, after checking the knots.
+
+    Slopes come from monotone piecewise-cubic (Fritsch-Carlson)
+    interpolation (_pchip_slopes), so each map is strictly increasing
+    wherever its knots are.  Endpoint slopes of zero are raised slightly
+    (within the monotonicity bound) so the tails stay invertible.  The
+    rules are Python's max(a, b) and min(a, b), written as np.where so
+    that signed zeros keep their bits.
+    """
+    if x.shape[-1] < 2:
+        raise InputError("need matching 1D knot arrays with >= 2 knots")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InputError("knots must be finite")
+    if (x[..., 1:] <= x[..., :-1]).any() or (y[..., 1:] <= y[..., :-1]).any():
+        raise InputError("knots must be strictly increasing")
+    floor = float(derivative_floor)
+    if not (floor > 0):
+        raise InputError("derivative_floor must be positive")
+    # a zero secant divides by zero in the harmonic mean and is then
+    # discarded, as in scipy
+    lo, hi = _END_INTERVALS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = _pchip_slopes(x, y)
+        # the first and the last interval's secant
+        secants = ((y.take(hi, axis=-1) - y.take(lo, axis=-1))
+                   / (x.take(hi, axis=-1) - x.take(lo, axis=-1)))
+    low = 3.0 * secants
+    low = np.where(low < floor, low, floor)
+    ends = d.take(_ENDS, axis=-1)
+    ends = np.where(low > ends, low, ends)
+    d[..., 0] = ends[..., 0]
+    d[..., -1] = ends[..., 1]
+    tails = np.where(floor > ends, floor, ends)
+    if not (tails > 0).all():
+        raise InputError("tail slopes must be positive")
+    return d, tails
+
+
 def _edge_slope(h0, h1, m0, m1):
     """End slope from the end interval (width h0, secant m0) and its
     neighbour (h1, m1): the one-sided three-point estimate, set to 0 if
     its sign differs from m0's and capped at 3 * m0 if the secants change
-    sign (scipy's PchipInterpolator._edge_case)."""
+    sign (scipy's PchipInterpolator._edge_case), elementwise."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    sign = np.sign(m0)
+    cap = (sign != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != sign, 0.0, np.where(cap, 3.0 * m0, d))
 
 
 def _pchip_slopes(x, y):
-    """Derivative at the knots of the monotone piecewise-cubic interpolant,
-    bit for bit equal to scipy's PchipInterpolator(x, y).derivative()(x).
+    """Derivative at the knots of the monotone piecewise-cubic interpolant
+    along the last axis, bit for bit equal to scipy's
+    PchipInterpolator(x, y).derivative()(x) row by row.
 
     Interior slopes are the weighted harmonic mean of the two adjacent
     secants, 0 where these differ in sign or one is 0; the end slopes come
@@ -188,24 +212,28 @@ def _pchip_slopes(x, y):
     interval's coefficients c0, c1, as in CubicHermiteSpline, summed as
     (d + 2 c1 h) + 3 c0 h^2 in PPoly's order.
     """
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
+    h = x[..., 1:] - x[..., :-1]
+    m = (y[..., 1:] - y[..., :-1]) / h
     d = np.empty_like(x)
-    if x.size == 2:
-        d[0] = d_end = m[0]  # a straight line
+    if x.shape[-1] == 2:
+        d[..., 0] = d_end = m[..., 0]  # a straight line
     else:
-        condition = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d[1:-1] = np.where(condition, 0.0, 1.0 / whmean)
-        d[0] = _edge_slope(h[0], h[1], m[0], m[1])
-        d_end = _edge_slope(h[-1], h[-2], m[-1], m[-2])
-    width, slope, d0 = h[-1], m[-1], d[-2]
+        condition = ((np.sign(m[..., 1:]) != np.sign(m[..., :-1]))
+                     | (m[..., 1:] == 0) | (m[..., :-1] == 0))
+        w1 = 2 * h[..., 1:] + h[..., :-1]
+        w2 = h[..., 1:] + 2 * h[..., :-1]
+        whmean = (w1 / m[..., :-1] + w2 / m[..., 1:]) / (w1 + w2)
+        d[..., 1:-1] = np.where(condition, 0.0, 1.0 / whmean)
+        # both ends in one call: the end intervals and their neighbours
+        ends = _edge_slope(h.take(_ENDS, axis=-1), h.take(_END_NEIGHBOURS, axis=-1),
+                           m.take(_ENDS, axis=-1), m.take(_END_NEIGHBOURS, axis=-1))
+        d[..., 0] = ends[..., 0]
+        d_end = ends[..., 1]
+    width, slope, d0 = h[..., -1], m[..., -1], d[..., -2]
     t = (d0 + d_end - 2 * slope) / width
     c0 = t / width
     c1 = (slope - d0) / width - t
-    d[-1] = (d0 + (2 * c1) * width) + (3 * c0) * (width * width)
+    d[..., -1] = (d0 + (2 * c1) * width) + (3 * c0) * (width * width)
     # scipy sums each derivative from +0.0, so a zero slope is never -0.0
     # there: subnormal secants can overflow w / m and give 1 / -inf here
     d += 0.0

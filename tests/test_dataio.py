@@ -1,12 +1,14 @@
 import csv
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from overdensity.anomaly import ScanRow, ScoreConfig, score_events
 from overdensity.dataio import (
+    SCORE_COLUMNS,
     file_sha256,
     read_features,
     read_particle_events,
@@ -52,6 +54,76 @@ def test_read_features_reports_bad_cells(tmp_path):
         read_features(str(path))
     with pytest.raises(InputError):
         read_features(str(tmp_path / "missing.csv"))
+
+
+def test_read_features_reports_the_first_bad_line(tmp_path):
+    # the file is read once, top to bottom: line 3's inf is reported,
+    # not line 5's fish, and the blank line 4 is skipped
+    path = tmp_path / "bad.csv"
+    path.write_text("event_id,m,x\n1,2.0,1.0\n2,2.0,inf\n\n4,2.0,fish\n")
+    with pytest.raises(InputError, match=r"line 3, column 'x': non-finite value 'inf'$"):
+        read_features(str(path))
+    path.write_text("event_id,m,x\n1,2.0,1.0\n\n3,2.0,1.5\n4,fish,inf\n")
+    with pytest.raises(InputError, match=r"line 5, column 'm': not a number: 'fish'$"):
+        read_features(str(path))
+
+
+# text that csv.writer must quote (',', '"', CR, LF), the empty string and
+# non-ASCII characters; no NUL (Python 3.10's csv cannot read it back) and
+# no lone surrogates (not encodable)
+csv_text = st.text(st.one_of(st.sampled_from(',"\r\n a\u00e9\u03bb\u4e2d\U0001f600'),
+                             st.characters(blacklist_categories=("Cs",),
+                                           blacklist_characters="\x00")),
+                   max_size=8)
+# signed zeros, subnormals, infinities and nan among ordinary floats
+any_float = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                                       np.inf, -np.inf, np.nan]),
+                      st.floats())
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@given(st.lists(st.tuples(csv_text, any_float, any_float, st.booleans()), max_size=20),
+       csv_text, csv_text)
+@example([("", 0.0, -0.0, False), ("a,b", 5e-324, np.nan, True),
+          ('say "hi"', np.inf, -np.inf, False), ("\r\n", 1e300, -1e-300, True),
+          ("a\rb", 0.1, 3823.0, False), ("a\nb", -2.0, 1.5, False),
+          ("\u00e9t\u00e9", 2.5, 7.0, True)],
+         "m,jj", 'x"')
+def test_writers_match_csv_writer_bytes(tmp_path_factory, rows, name1, name2):
+    root = tmp_path_factory.mktemp("csv")
+    ids = [r[0] for r in rows]
+    m = np.array([r[1] for r in rows])
+    X = np.array([[r[2], r[1]] for r in rows]).reshape(-1, 2)
+    labels = np.array([r[3] for r in rows])
+
+    write_features(str(root / "f.csv"), ids, name1, m, [name2, "x"], X)
+    expected = _csv_writer_bytes(
+        str(root / "f_ref.csv"), ["event_id", name1, name2, "x"],
+        [[i, repr(float(a)), repr(float(b)), repr(float(c))]
+         for i, a, (b, c) in zip(ids, m, X)])
+    assert (root / "f.csv").read_bytes() == expected
+
+    write_labels(str(root / "l.csv"), ids, labels)
+    expected = _csv_writer_bytes(str(root / "l_ref.csv"), ["event_id", "is_signal"],
+                                 [[i, int(v)] for i, v in zip(ids, labels)])
+    assert (root / "l.csv").read_bytes() == expected
+
+    report = SimpleNamespace(alphas=X[:, 0], p_signal=X[:, 1], p_background=m,
+                             clamped=labels)
+    write_scores(str(root / "s.csv"), ids, m, report)
+    expected = _csv_writer_bytes(
+        str(root / "s_ref.csv"), SCORE_COLUMNS,
+        [[i, *(repr(float(v)) for v in (a, b, c, a)), int(flag)]
+         for i, a, (b, c), flag in zip(ids, m, X, labels)])
+    assert (root / "s.csv").read_bytes() == expected
 
 
 def test_labels_round_trip(tmp_path):

@@ -166,6 +166,30 @@ def test_save_load_round_trip(gauss2d_model, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_load_save_keeps_mixed_knot_counts(tmp_path):
+    # features with six and eleven values tie the quantiles, so merged
+    # knots leave transforms of several knot counts, which load builds
+    # count by count
+    rng = np.random.default_rng(11)
+    x = np.column_stack([rng.standard_normal(3000), rng.integers(0, 6, 3000),
+                         rng.integers(0, 11, 3000)])
+    m = rng.uniform(size=3000)
+    model = fit_gis(x, m, FitConfig(n_iterations=2, n_conditional_bins=3, n_knots=16,
+                                    n_candidates=4))
+    counts = [tr.knots_in.size for layer in model.layers
+              for per_bin in layer.transforms for tr in per_bin]
+    assert len(set(counts)) >= 3
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert [tr.knots_in.size for layer in loaded.layers
+            for per_bin in layer.transforms for tr in per_bin] == counts
+    assert np.array_equal(loaded.log_density(x, m), model.log_density(x, m))
+    path2 = tmp_path / "model2.txt"
+    save_model(loaded, str(path2))
+    assert path.read_bytes() == path2.read_bytes()
+
+
 def test_load_rejects_malformed_files(tmp_path, gauss2d_model):
     model, _, _ = gauss2d_model
     path = tmp_path / "model.txt"

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from overdensity import transforms
 from overdensity.conditional import KnotTable, invert_binned
 from overdensity.errors import FitError, InputError
+from overdensity.flow import _transforms_from_knots
 from overdensity.transforms import (
     Marginal1DTransform,
     fit_marginal_transform,
@@ -286,8 +287,8 @@ def _fit_with_scipy(samples, n_knots):
     q, z = q[keep], norm.ppf(p[keep])
     d = PchipInterpolator(q, z).derivative()(q)
     floor = transforms.DEFAULT_DERIVATIVE_FLOOR
-    d[0] = max(d[0], min(floor, 3.0 * (z[1] - z[0]) / (q[1] - q[0])))
-    d[-1] = max(d[-1], min(floor, 3.0 * (z[-1] - z[-2]) / (q[-1] - q[-2])))
+    d[0] = max(d[0], min(floor, 3.0 * ((z[1] - z[0]) / (q[1] - q[0]))))
+    d[-1] = max(d[-1], min(floor, 3.0 * ((z[-1] - z[-2]) / (q[-1] - q[-2]))))
     return q, z, d
 
 
@@ -310,6 +311,47 @@ def test_fitted_knots_and_slopes_match_the_scipy_fit(data, n_knots):
     _assert_same_bits(t.knots_in, q)
     _assert_same_bits(t.knots_out, z)
     _assert_same_bits(t.slopes, d)
+
+
+@st.composite
+def fitted_knot_tables(draw):
+    """Knot tables as a fit writes them: tied samples merge quantile knots
+    into ragged counts, continuous ones keep all n_knots, and some rows
+    have 2 knots."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        x, y = draw(finite), draw(finite)
+        return [x, x + draw(gap)], [y, y + draw(gap)]
+    n_knots = draw(st.sampled_from([8, 16]))
+    element = st.one_of(finite, st.integers(min_value=0, max_value=draw(
+        st.integers(min_value=1, max_value=12))))
+    sample = draw(st.lists(element, min_size=2 * n_knots, max_size=120))
+    try:
+        t = fit_marginal_transform(np.asarray(sample, dtype=float), n_knots)
+    except FitError:  # fewer than 2 distinct values
+        return [0.0, 1.0], [-1.0, 1.0]
+    return t.knots_in.tolist(), t.knots_out.tolist()
+
+
+@given(st.lists(fitted_knot_tables(), min_size=1, max_size=10),
+       st.sampled_from([1e-6, 0.3, 3.0]))
+def test_stacked_build_matches_from_knots_bit_for_bit(knots, floor):
+    # the model loader's build: one from_knot_rows call per knot count
+    stacked = _transforms_from_knots(knots, floor)
+    assert len(stacked) == len(knots)
+    for (x, y), t in zip(knots, stacked):
+        one = Marginal1DTransform.from_knots(x, y, derivative_floor=floor)
+        for a, b in ((t.knots_in, x), (t.knots_out, y), (t.slopes, one.slopes),
+                     (t.tail_slopes, one.tail_slopes)):
+            _assert_same_bits(a, b)
+        assert t.derivative_floor == floor
+        # the end-slope and tail rules as Python's max and min on scipy's
+        # slopes, one knot table at a time; 3 times the secant, which
+        # rounds differently from (3 dy) / dx
+        d = PchipInterpolator(x, y).derivative()(x)
+        d[0] = max(d[0], min(floor, 3.0 * ((y[1] - y[0]) / (x[1] - x[0]))))
+        d[-1] = max(d[-1], min(floor, 3.0 * ((y[-1] - y[-2]) / (x[-1] - x[-2]))))
+        _assert_same_bits(t.slopes, d)
+        _assert_same_bits(t.tail_slopes, (max(d[0], floor), max(d[-1], floor)))
 
 
 def test_normal_quantile_tables_match_norm_ppf():
