@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from importlib import metadata
+from pathlib import Path
 
 import numpy as np
 
@@ -97,25 +98,25 @@ def _input_entry(path, rows):
 # -- synth ---------------------------------------------------------------------
 
 
+def _given(args, *names):
+    """The named flags that were given, by name: an absent flag leaves the
+    config dataclass's default in place."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_synth(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
+    counts = _given(args, "n_background", "n_signal")
     if args.generator == "toy":
-        cfg = synth.ToyConfig(n_background=args.n_background if args.n_background is not None else 50_000,
-                              n_signal=args.n_signal if args.n_signal is not None else 500)
+        cfg = synth.ToyConfig(**counts)
         dataset = synth.generate_toy(cfg, seed=args.seed)
         config_used = {"n_background": cfg.n_background, "n_signal": cfg.n_signal,
                        "m_range": list(cfg.m_range), "signal_m": cfg.signal_m,
                        "signal_m_width": cfg.signal_m_width,
                        "signal_x_width": list(cfg.signal_x_width)}
     else:
-        rescfg = synth.Resonance(
-            mass=args.mass if args.mass is not None else 3823.0,
-            m_j1=args.m1 if args.m1 is not None else 732.0,
-            m_j2=args.m2 if args.m2 is not None else 378.0)
-        lhc = synth.LhcLikeConfig(
-            n_background=args.n_background if args.n_background is not None else 999_200,
-            n_signal=args.n_signal if args.n_signal is not None else 800,
-            resonance=rescfg)
+        rescfg = synth.Resonance(**_given(args, "mass", "m_j1", "m_j2"))
+        lhc = synth.LhcLikeConfig(resonance=rescfg, **counts)
         dataset = synth.generate_lhc_like(config=lhc, seed=args.seed)
         config_used = {"n_background": lhc.n_background, "n_signal": lhc.n_signal,
                        "resonance": [rescfg.mass, rescfg.m_j1, rescfg.m_j2]}
@@ -195,13 +196,13 @@ def cmd_features(args) -> int:
 
 
 _FIT_SCHEMA = {
-    "iterations": (100, int),
-    "slices": (None, int),
-    "bins": (20, int),
-    "knots": (64, int),
-    "candidates": (64, int),
-    "derivative_floor": (1e-6, float),
-    "seed": (0, int),
+    "iterations": (FitConfig.n_iterations, int),
+    "slices": (FitConfig.n_slices, int),
+    "bins": (FitConfig.n_conditional_bins, int),
+    "knots": (FitConfig.n_knots, int),
+    "candidates": (FitConfig.n_candidates, int),
+    "derivative_floor": (FitConfig.derivative_floor, float),
+    "seed": (FitConfig.rng_seed, int),
 }
 
 
@@ -238,11 +239,11 @@ def cmd_fit(args) -> int:
 
 
 _SCORE_SCHEMA = {
-    "sigma": (250.0, float),
-    "n_quad": (10, int),
-    "exclusion": (None, float),
-    "signal_sigma": (None, float),
-    "thresholds": ((1.5, 2.5, 5.0), _parse_float_list),
+    "sigma": (anomaly.ScoreConfig.sigma, float),
+    "n_quad": (anomaly.ScoreConfig.n_quad, int),
+    "exclusion": (anomaly.ScoreConfig.exclusion_halfwidth, float),
+    "signal_sigma": (anomaly.ScoreConfig.signal_sigma, float),
+    "thresholds": (anomaly.ScoreConfig.thresholds, _parse_float_list),
     "scan_bin_width": (100.0, float),
     "threads": (1, int),
 }
@@ -292,7 +293,7 @@ def cmd_score(args) -> int:
         text = _summary_text(report, names)
     else:
         text = "no events to score\n"
-    _atomic_write(summary_path, lambda p: open(p, "w").write(text))
+    _atomic_write(summary_path, lambda p: Path(p).write_text(text))  # closes the file
 
     dataio.write_manifest(os.path.join(args.out_dir, "manifest.json"), {
         "command": "score",
@@ -331,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n-background", type=int)
     p_synth.add_argument("--n-signal", type=int)
     p_synth.add_argument("--mass", type=float, help="resonance pair mass (lhc)")
-    p_synth.add_argument("--m1", type=float, help="heavy jet mass (lhc)")
-    p_synth.add_argument("--m2", type=float, help="light jet mass (lhc)")
+    p_synth.add_argument("--m1", dest="m_j1", metavar="M1", type=float,
+                         help="heavy jet mass (lhc)")
+    p_synth.add_argument("--m2", dest="m_j2", metavar="M2", type=float,
+                         help="light jet mass (lhc)")
     p_synth.set_defaults(func=cmd_synth)
 
     p_feat = sub.add_parser("features", help="reduce particle CSVs to dijet features")

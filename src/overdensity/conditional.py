@@ -32,6 +32,8 @@ class ConditionalBinning:
             raise ConfigError("need at least 2 bins (3 edges)")
         if self.centers.size != self.edges.size - 1:
             raise ConfigError("centers must have one entry per bin")
+        if not (np.isfinite(self.edges).all() and np.isfinite(self.centers).all()):
+            raise InputError("bin edges and centers must be finite")
         if np.any(np.diff(self.edges) <= 0):
             raise InputError("bin edges must be strictly increasing")
         if np.any(self.centers <= self.edges[:-1]) or np.any(self.centers >= self.edges[1:]):
@@ -191,30 +193,23 @@ def eval_binned(table: KnotTable, bin_idx, y):
     return psi, np.maximum(deriv, table.floor[bin_idx], out=deriv)
 
 
-def invert_binned(table: KnotTable, bin_idx, z):
-    """Invert bin bin_idx[i]'s transform at z[i]: exact on the tails,
-    safeguarded Newton inside the bracketing knot segment."""
-    x, _, yk, d, _, _ = table.segments
+def _bracket(table: KnotTable, bin_idx, z):
+    """Bracket (a, v, c) of bin bin_idx[i]'s inverse at z[i], Newton-free:
+    on a tail the exact root, a = v = c; inside the knot range the
+    bracketing segment [x_j, x_{j+1}] and the secant point v in it."""
+    x, _, yk, d0, c2, c3 = table.segments
     base = bin_idx * table.stride
     last = base + table.n_knots[bin_idx]  # the high-tail slot
-    below = z < yk[base]
-    above = z > yk[last]
-    y = np.where(below, x[base] + (z - yk[base]) / d[base],
-                 x[last] + (z - yk[last]) / d[last])
-    inner = ~(below | above)
-    if np.any(inner):
-        b = bin_idx[inner]
-        zi = z[inner]
-        # slots 1 .. n hold knot outputs y_0 .. y_{n-1} as their values, so
-        # the last of them <= z is the slot of the segment from y_j <= z to
-        # y_{j+1}; z = y_{n-1} takes the last segment
-        slot = _count_le(yk, base[inner] + 1, table.stride - 1, zi) - 1
-        i = np.minimum(slot, last[inner] - 1)
-        # secant initial guess inside the bracketing segment
-        v = x[i] + (zi - yk[i]) * (x[i + 1] - x[i]) / (yk[i + 1] - yk[i])
-        y[inner] = safeguarded_newton(lambda rows, u: eval_binned(table, b[rows], u),
-                                      zi, v, x[i], x[i + 1])
-    return y
+    # slots 1 .. n hold knot outputs y_0 .. y_{n-1} as their values, so one
+    # less than the count of them <= z is the slot whose value is the last
+    # y_j <= z: the low tail below y_0, the high tail from y_{n-1} up
+    slot = np.minimum(_count_le(yk, base + 1, table.stride - 1, z) - 1, last)
+    a = x[slot]
+    # a cubic's secant slope is d0 + c2 + c3, a tail's is d0 (c2 = c3 = 0)
+    v = a + (z - yk[slot]) / (d0[slot] + c2[slot] + c3[slot])
+    tail = (slot == base) | (slot == last)
+    return (np.where(tail, v, a), v,
+            np.where(tail, v, x[np.minimum(slot + 1, last)]))
 
 
 def interpolated_transform(table: KnotTable, lo, hi, t, y):
@@ -242,23 +237,14 @@ def interpolated_transform(table: KnotTable, lo, hi, t, y):
 def interpolated_inverse(table: KnotTable, lo, hi, t, z):
     """Invert the bin-interpolated transform elementwise.
 
-    The root of (1-t)*T_lo(y) + t*T_hi(y) = z is bracketed by the two
-    single-bin inverses, then polished with safeguarded Newton.
+    The root of (1-t)*T_lo(y) + t*T_hi(y) = z lies between the two
+    single-bin roots, so the union of their brackets holds it.  One
+    safeguarded Newton solve on interpolated_transform finds it, starting
+    from the t-blend of the two secant points.
     """
-    y = invert_binned(table, lo, z)
-    mixed = t > 0
-    if not np.any(mixed):
-        return y
-
-    zm = z[mixed]
-    tm = t[mixed]
-    lom = lo[mixed]
-    him = hi[mixed]
-    y_lo = y[mixed]
-    y_hi = invert_binned(table, him, zm)
-    v = (1.0 - tm) * y_lo + tm * y_hi
-    y[mixed] = safeguarded_newton(
-        lambda rows, u: interpolated_transform(table, lom[rows], him[rows], tm[rows], u),
-        zm, v, np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi))
-    return y
-
+    z = np.ascontiguousarray(z, dtype=float)  # as in eval_binned
+    a_lo, v_lo, c_lo = _bracket(table, lo, z)
+    a_hi, v_hi, c_hi = _bracket(table, hi, z)
+    return safeguarded_newton(
+        lambda rows, u: interpolated_transform(table, lo[rows], hi[rows], t[rows], u),
+        z, (1.0 - t) * v_lo + t * v_hi, np.minimum(a_lo, a_hi), np.maximum(c_lo, c_hi))

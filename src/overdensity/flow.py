@@ -383,6 +383,10 @@ def _parse_model(lines) -> FlowModel:
     floor = float(take_field("derivative_floor")[0])
     shift = np.array([float(v) for v in take_field("shift")])
     scale = np.array([float(v) for v in take_field("scale")])
+    if shift.shape != (dim,) or scale.shape != (dim,):
+        raise InputError("shift and scale need one value per feature in model file")
+    if not (np.isfinite(shift).all() and np.isfinite(scale).all() and (scale > 0).all()):
+        raise InputError("shift must be finite and scale finite and positive in model file")
     edges = np.array([float(v) for v in take_field("edges")])
     centers = np.array([float(v) for v in take_field("centers")])
     head = take().split()
@@ -397,7 +401,7 @@ def _parse_model(lines) -> FlowModel:
         if tag[0] != "layer" or int(tag[1]) != i:
             raise InputError(f"expected layer {i} in model file")
         W = np.array([[float(v) for v in take().split()] for _ in range(dim)])
-        if W.shape != (dim, n_slices):
+        if W.shape != (dim, n_slices) or not np.isfinite(W).all():
             raise InputError("malformed slice matrix in model file")
         knots = []  # (knots_in, knots_out) of each transform, bin-major
         for b in range(n_bins):

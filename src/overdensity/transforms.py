@@ -243,7 +243,8 @@ def _pchip_slopes(x, y):
 @lru_cache(maxsize=8)
 def _knot_levels(n_knots: int):
     """Probability levels (j + 0.5) / n_knots and their standard-normal
-    quantiles, the output knots of fit_marginal_transform."""
+    quantiles: the output knots of fit_marginal_transform, and the
+    plotting quantiles of wasserstein_1d_to_gaussian."""
     p = (np.arange(n_knots) + 0.5) / n_knots
     z = ndtri(p)
     p.setflags(write=False)
@@ -301,13 +302,6 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS,
     return Marginal1DTransform.from_knots(q, z[keep], derivative_floor=derivative_floor)
 
 
-@lru_cache(maxsize=8)
-def _gaussian_plotting_quantiles(n: int) -> np.ndarray:
-    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    q.setflags(write=False)
-    return q
-
-
 def wasserstein_1d_to_gaussian(samples) -> float:
     """Order-1 Wasserstein distance from a 1D sample to N(0, 1).
 
@@ -320,5 +314,7 @@ def wasserstein_1d_to_gaussian(samples) -> float:
     # -inf sorts first, +inf and nan last
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise InputError("samples must be finite")
-    s -= _gaussian_plotting_quantiles(s.size)
+    # (j + 0.5) / n for j = 0 .. n - 1 are the same doubles as (j - 0.5) / n
+    # for j = 1 .. n
+    s -= _knot_levels(s.size)[1]
     return float(np.abs(s, out=s).mean())

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 import overdensity
+from overdensity import cli, synth
+from overdensity.anomaly import ScoreConfig
 from overdensity.cli import main
 from overdensity.dataio import file_sha256
-from overdensity.flow import load_model
+from overdensity.flow import FitConfig, load_model
 
 
 @pytest.fixture(scope="module")
@@ -106,12 +109,20 @@ def test_missing_input_exits_1(tmp_path, capsys):
     ("layers 2 slices 1", ""),  # blank layer header
     ("layer 0", ""),            # blank layer tag
     ("dim 1", "dim x"),         # non-numeric field
+    # the model is 1D: one shift, one scale and a 1 x 1 slice matrix
+    pytest.param(r"shift \S+", "shift", id="shift one value short"),
+    pytest.param(r"scale \S+", "scale 0", id="zero scale"),
+    pytest.param(r"layer 0\n\S+", "layer 0\nnan", id="nan in a slice matrix"),
+    pytest.param(r"edges \S+(.*)", r"edges nan\1", id="nan in edges"),
 ])
 def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, line, replacement):
+    """line is a regular expression for whole model-file lines, and
+    replacement its re.sub replacement."""
     text = (pipeline_dir / "model.txt").read_text()
-    assert f"\n{line}\n" in text
+    pattern = f"\n{line}\n"
+    assert re.search(pattern, text)
     bad = tmp_path / "bad.txt"
-    bad.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n", 1))
+    bad.write_text(re.sub(pattern, f"\n{replacement}\n", text, count=1))
     code = main(["score", "--features", str(pipeline_dir / "data" / "features.csv"),
                  "--model", str(bad), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -219,6 +230,63 @@ def test_synth_lhc_writes_resonance_config(tmp_path):
     assert manifest["config"]["resonance"][0] == 3000.0
     header = (out / "features.csv").read_text().splitlines()[0]
     assert header == "event_id,m_jj,m_j1,dm,tau21_1,tau21_2"
+
+
+def test_commands_without_flags_record_the_config_defaults(pipeline_dir, tmp_path,
+                                                            monkeypatch):
+    # the fit and the generators are stubbed with small ones; what they
+    # were asked for is recorded, and must be the config dataclasses' defaults
+    asked = {}
+
+    def small_fit(X, m, cfg, on_iteration):
+        asked["fit"] = cfg
+        return load_model(str(pipeline_dir / "model.txt"))
+
+    def small(name, generate, small_config):
+        def run(config, seed):
+            asked[name] = config
+            return generate(config=small_config, seed=seed)
+        return run
+
+    monkeypatch.setattr(cli, "fit_gis", small_fit)
+    monkeypatch.setattr(synth, "generate_toy", small(
+        "toy", synth.generate_toy, synth.ToyConfig(n_background=200, n_signal=2)))
+    monkeypatch.setattr(synth, "generate_lhc_like", small(
+        "lhc", synth.generate_lhc_like, synth.LhcLikeConfig(n_background=200, n_signal=2)))
+    features = str(pipeline_dir / "data" / "features.csv")
+    model = tmp_path / "model.txt"
+    assert main(["fit", "--features", features, "--model-out", str(model), "--quiet"]) == 0
+    assert main(["score", "--features", features, "--model", str(model),
+                 "--out-dir", str(tmp_path / "scores")]) == 0
+    for generator in ("toy", "lhc"):
+        assert main(["synth", generator, "--out-dir", str(tmp_path / generator)]) == 0
+
+    def config(path):
+        return json.loads((tmp_path / path).read_text())["config"]
+
+    fit = FitConfig()
+    assert asked["fit"] == fit
+    assert config("model.txt.manifest.json") == {
+        "iterations": fit.n_iterations, "slices": fit.n_slices,
+        "bins": fit.n_conditional_bins, "knots": fit.n_knots,
+        "candidates": fit.n_candidates, "derivative_floor": fit.derivative_floor,
+        "seed": fit.rng_seed}
+    score = ScoreConfig()
+    assert config("scores/manifest.json") == {
+        "sigma": score.sigma, "n_quad": score.n_quad,
+        "exclusion": score.exclusion_halfwidth, "signal_sigma": score.signal_sigma,
+        "thresholds": list(score.thresholds), "scan_bin_width": 100.0, "threads": 1}
+    toy = synth.ToyConfig()
+    assert asked["toy"] == toy
+    assert config("toy/manifest.json") == {
+        "n_background": toy.n_background, "n_signal": toy.n_signal,
+        "m_range": list(toy.m_range), "signal_m": toy.signal_m,
+        "signal_m_width": toy.signal_m_width, "signal_x_width": list(toy.signal_x_width)}
+    lhc = synth.LhcLikeConfig()
+    assert asked["lhc"] == lhc
+    assert config("lhc/manifest.json") == {
+        "n_background": lhc.n_background, "n_signal": lhc.n_signal,
+        "resonance": [lhc.resonance.mass, lhc.resonance.m_j1, lhc.resonance.m_j2]}
 
 
 def test_bad_flag_exits_2():

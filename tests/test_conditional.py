@@ -10,7 +10,6 @@ from overdensity.conditional import (
     eval_binned,
     interpolated_inverse,
     interpolated_transform,
-    invert_binned,
 )
 from overdensity.errors import ConfigError, FitError, InputError
 from overdensity.transforms import Marginal1DTransform, fit_marginal_transform
@@ -140,7 +139,8 @@ def test_interpolated_round_trip(t_mix, zs):
 
 @st.composite
 def binned_family(draw):
-    """A few fitted transforms plus query rows (bin, value) mixing bins.
+    """A few fitted transforms plus query rows (bin, value, t) mixing bins,
+    t being a blend weight in [0, 1]: exactly 0 or 1 for two rows in three.
 
     Rounding the samples to few decimals makes tied quantiles, which are
     merged, so knot counts differ between bins.  A large derivative floor
@@ -168,12 +168,15 @@ def binned_family(draw):
     order = rng.permutation(len(queries))
     bins = np.array([queries[i][0] for i in order])
     ys = np.array([queries[i][1] for i in order])
-    return transforms, bins, ys
+    t = rng.uniform(0.0, 1.0, bins.size)
+    t[::3] = 0.0  # the rows are in random order
+    t[1::3] = 1.0
+    return transforms, bins, ys, t
 
 
 @given(binned_family())
 def test_knot_table_matches_transform_bit_for_bit(family):
-    transforms, bins, ys = family
+    transforms, bins, ys, t = family
     table = KnotTable(transforms)
     psi, deriv = eval_binned(table, bins, ys)
     ref = np.array([np.concatenate(transforms[b].transform(np.array([y])))
@@ -181,7 +184,11 @@ def test_knot_table_matches_transform_bit_for_bit(family):
     # compared as bits, so a zero of the other sign fails too
     got = np.column_stack([psi, deriv])
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    # the table inverse undoes the table forward map, also where the
-    # derivative floor lies far above the true slope
-    back, _ = eval_binned(table, bins, invert_binned(table, bins, psi))
-    assert_allclose(back, psi, rtol=1e-10, atol=1e-10)
+    # blending each row's bin with the next one (the last bin with itself)
+    # at t, the inverse undoes the forward map, on the tails and where the
+    # derivative floor lies far above the true slope too
+    hi = np.minimum(bins + 1, len(transforms) - 1)
+    z, _ = interpolated_transform(table, bins, hi, t, ys)
+    back, _ = interpolated_transform(table, bins, hi, t,
+                                     interpolated_inverse(table, bins, hi, t, z))
+    assert_allclose(back, z, rtol=1e-10, atol=1e-10)

@@ -178,10 +178,10 @@ def test_scores_and_scan_files(tmp_path, toy_model, toy_dataset):
     X, m = toy_dataset.event_arrays()
     report = score_events(toy_model, (X[:6], m[:6]),
                           ScoreConfig(sigma=0.15, thresholds=(1.5,)))
-    spath = str(tmp_path / "scores.csv")
-    n = write_scores(spath, [str(i) for i in range(6)], m[:6], report)
+    spath = tmp_path / "scores.csv"
+    n = write_scores(str(spath), [str(i) for i in range(6)], m[:6], report)
     assert n == 6
-    lines = open(spath).read().splitlines()
+    lines = spath.read_text().splitlines()
     assert lines[0] == "event_id,m,alpha,p_signal,p_background,clamped_flag"
     assert len(lines) == 7
     first = lines[1].split(",")
@@ -189,9 +189,9 @@ def test_scores_and_scan_files(tmp_path, toy_model, toy_dataset):
     assert first[5] in ("0", "1")
 
     rows = [ScanRow(0.0, 0.1, 2, 1.5, 1.4), ScanRow(0.1, 0.2, 0, None, None)]
-    scan_path = str(tmp_path / "scan.csv")
-    assert write_scan(scan_path, rows) == 2
-    scan_lines = open(scan_path).read().splitlines()
+    scan_path = tmp_path / "scan.csv"
+    assert write_scan(str(scan_path), rows) == 2
+    scan_lines = scan_path.read_text().splitlines()
     assert scan_lines[0] == "m_lo,m_hi,count,alpha_max,alpha_p99"
     assert scan_lines[2].split(",")[2] == "0"
     assert scan_lines[2].split(",")[3] == ""  # empty bins leave alpha blank

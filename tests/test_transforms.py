@@ -6,7 +6,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import norm
 
 from overdensity import transforms
-from overdensity.conditional import KnotTable, invert_binned
+from overdensity.conditional import KnotTable, interpolated_inverse
 from overdensity.errors import FitError, InputError
 from overdensity.flow import _transforms_from_knots
 from overdensity.transforms import (
@@ -21,9 +21,10 @@ W1_TWO_POINT = 0.3255102498039183
 
 
 def _invert(t, z):
-    """The flow's inverse of one transform: its knot table, bin 0."""
+    """The flow's inverse of one transform: its knot table, bin 0 unmixed."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return invert_binned(KnotTable([t]), np.zeros(z.size, dtype=int), z)
+    b = np.zeros(z.size, dtype=int)
+    return interpolated_inverse(KnotTable([t]), b, b, np.zeros(z.size), z)
 
 
 def test_wasserstein_two_point_sample():
@@ -359,8 +360,8 @@ def test_normal_quantile_tables_match_norm_ppf():
         p, z = transforms._knot_levels(n)
         _assert_same_bits(p, (np.arange(n) + 0.5) / n)
         _assert_same_bits(z, norm.ppf(p))
-        _assert_same_bits(transforms._gaussian_plotting_quantiles(n),
-                          norm.ppf((np.arange(1, n + 1) - 0.5) / n))
+        # wasserstein_1d_to_gaussian's plotting positions (j - 0.5) / n
+        _assert_same_bits(z, norm.ppf((np.arange(1, n + 1) - 0.5) / n))
 
 
 def test_knots_and_wasserstein_reject_bad_input():
