@@ -386,10 +386,7 @@ def main(argv=None) -> int:
         args.thresholds = tuple(args.thresholds)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FitError as exc:
+    except (InputError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:

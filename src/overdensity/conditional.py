@@ -11,11 +11,12 @@ edge bin applies unweighted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
-from .transforms import safeguarded_newton
+from .transforms import _checked_slopes, safeguarded_newton
 
 
 @dataclass
@@ -106,7 +107,12 @@ def build_binning(m_values, n_bins: int, min_occupancy: int = 2) -> ConditionalB
 # -- vectorized evaluation of a slice's per-bin transforms --------------------
 
 class KnotTable:
-    """The per-bin transforms of one slice as a table of cubic segments.
+    """The per-bin monotone maps of one slice as a table of cubic segments.
+
+    Built from one (knots_in, knots_out) pair per bin and the model's
+    derivative floor.  Slopes and tail slopes come from _checked_slopes,
+    one stacked call per distinct knot count, so they are the doubles that
+    Marginal1DTransform.from_knots derives from each pair.
 
     Bin b owns `stride` = (longest knot count + 1) consecutive slots.  With
     n knots, slot 0 is the low tail, slots 1 .. n-1 hold knot segments
@@ -115,7 +121,8 @@ class KnotTable:
     value a, slope d0 and the Hermite coefficients c2, c3, computed once
     with Marginal1DTransform.transform's expressions.  A tail is a segment
     anchored at its end knot with h = 1, d0 = the tail slope and
-    c2 = c3 = 0, so one cubic serves every slot.
+    c2 = c3 = 0, so one cubic serves every slot.  Slots 1 .. n thus anchor
+    and value at the knots themselves, which is where knots(b) reads them.
 
     `edges` holds each bin's search row: x_0 .. x_{n-2}, then
     nextafter(x_{n-1}, +inf), so that the last knot itself falls in the
@@ -125,16 +132,26 @@ class KnotTable:
     bins costs a fixed number of array operations.
     """
 
-    def __init__(self, transforms):
-        n_bins = len(transforms)
-        self.n_knots = np.array([tr.knots_in.size for tr in transforms])
+    def __init__(self, knots, floor):
+        n_bins = len(knots)
+        xs, ys = zip(*knots)
+        self.n_knots = np.array([len(v) for v in xs])
+        if self.n_knots.tolist() != [len(v) for v in ys]:
+            raise InputError("need matching 1D knot arrays with >= 2 knots")
         self.stride = int(self.n_knots.max()) + 1
-        # every bin's knots end to end; ends / starts index its last / first
-        x = np.concatenate([tr.knots_in for tr in transforms])
-        y = np.concatenate([tr.knots_out for tr in transforms])
-        d = np.concatenate([tr.slopes for tr in transforms])
+        self.floor = float(floor)
+        # every bin's knots end to end, converted in one pass each;
+        # ends / starts index each bin's last / first knot
+        x = np.fromiter(chain.from_iterable(xs), float, self.n_knots.sum())
+        y = np.fromiter(chain.from_iterable(ys), float, x.size)
         ends = np.cumsum(self.n_knots) - 1
         starts = ends + 1 - self.n_knots
+        d = np.empty_like(x)
+        tails = np.empty((n_bins, 2))
+        for n in np.unique(self.n_knots).tolist():
+            rows = np.flatnonzero(self.n_knots == n)
+            at = starts[rows, None] + np.arange(n)
+            d[at], tails[rows] = _checked_slopes(x[at], y[at], floor)
         # knot k of bin b is entry k of b's search row and starts the
         # segment in b's slot k + 1
         at = np.arange(x.size) + np.repeat(np.arange(n_bins) * self.stride - starts,
@@ -147,7 +164,6 @@ class KnotTable:
         c2 = 3.0 * delta - 2.0 * d0 - d1
         c3 = d0 + d1 - 2.0 * delta
 
-        tails = np.array([tr.tail_slopes for tr in transforms], dtype=float)
         segments = np.zeros((6, n_bins, self.stride))
         segments[1] = 1.0  # the tails' h; their c2 and c3 stay 0
         for row, low, high in ((0, x[starts], x[ends]), (2, y[starts], y[ends]),
@@ -160,7 +176,11 @@ class KnotTable:
         self.edges = np.full(n_bins * self.stride, np.nan)
         self.edges[at[j]] = x[j]
         self.edges[at[ends]] = np.nextafter(x[ends], np.inf)
-        self.floor = np.array([tr.derivative_floor for tr in transforms], dtype=float)
+
+    def knots(self, b):
+        """Bin b's (knots_in, knots_out), the doubles it was built from."""
+        first = b * self.stride + 1
+        return self.segments[[0, 2], first:first + self.n_knots[b]]
 
 
 def _count_le(row, start, width, v):
@@ -190,7 +210,7 @@ def eval_binned(table: KnotTable, bin_idx, y):
     t = (y - x) / h
     psi = a + h * t * (d0 + t * (c2 + t * c3))
     deriv = d0 + t * (2.0 * c2 + 3.0 * t * c3)
-    return psi, np.maximum(deriv, table.floor[bin_idx], out=deriv)
+    return psi, np.maximum(deriv, table.floor, out=deriv)
 
 
 def _bracket(table: KnotTable, bin_idx, z):

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 1, ConfigError -> 2.
+The CLI exits 1 on InputError and FitError, and 2 on ConfigError.
 """
 
 

@@ -23,8 +23,7 @@ from .conditional import (ConditionalBinning, KnotTable, build_binning,
                           interpolated_inverse, interpolated_transform)
 from .errors import ConfigError, FitError, InputError
 from .transforms import (DEFAULT_DERIVATIVE_FLOOR, DEFAULT_KNOTS,
-                         Marginal1DTransform, fit_marginal_transform,
-                         wasserstein_1d_to_gaussian)
+                         fit_marginal_transform, wasserstein_1d_to_gaussian)
 
 MODEL_FORMAT_HEADER = "GISFLOW v1"
 
@@ -70,19 +69,14 @@ class FitConfig:
 
 @dataclass
 class GisLayer:
-    """One slicing step: orthonormal directions plus per-bin 1D transforms.
+    """One slicing step: orthonormal directions plus per-bin 1D maps.
 
-    transforms[b][k] Gaussianizes slice k for conditional bin b;
-    tables[k] stacks slice k's transforms over all bins for evaluation.
+    tables[k] holds the maps that Gaussianize slice k, one per conditional
+    bin.
     """
 
     weights: np.ndarray
-    transforms: list
-    tables: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.tables = [KnotTable([per_bin[k] for per_bin in self.transforms])
-                       for k in range(self.weights.shape[1])]
+    tables: list
 
 
 def _apply_layer(layer: GisLayer, Z, lo, hi, t, log_det=None):
@@ -278,11 +272,13 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                                              int(seeds[i]))
             # one contiguous row per slice, projected as _apply_layer does
             Yt = np.ascontiguousarray((Z @ W).T)
-            transforms = [[fit_marginal_transform(y[rows], config.n_knots,
-                                                  config.derivative_floor)
-                           for y in Yt]
-                          for rows in bin_rows]
-            layer = GisLayer(weights=W, transforms=transforms)
+            tables = []
+            for y in Yt:
+                fits = [fit_marginal_transform(y[rows], config.n_knots, config.derivative_floor)
+                        for rows in bin_rows]
+                tables.append(KnotTable([(tr.knots_in, tr.knots_out) for tr in fits],
+                                        config.derivative_floor))
+            layer = GisLayer(weights=W, tables=tables)
             Z, P = _apply_layer(layer, Z, lo, hi, t)
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
             layers.append(layer)
@@ -319,11 +315,12 @@ def save_model(model: FlowModel, path) -> None:
         lines.append(f"layer {i}")
         for row in layer.weights:
             lines.append(_fmt(row))
-        for b, per_bin in enumerate(layer.transforms):
-            for k, tr in enumerate(per_bin):
-                lines.append(f"transform {b} {k} {tr.knots_in.size}")
-                lines.append(_fmt(tr.knots_in))
-                lines.append(_fmt(tr.knots_out))
+        for b in range(model.binning.n_bins):
+            for k, table in enumerate(layer.tables):
+                knots_in, knots_out = table.knots(b)
+                lines.append(f"transform {b} {k} {knots_in.size}")
+                lines.append(_fmt(knots_in))
+                lines.append(_fmt(knots_out))
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -346,20 +343,6 @@ def load_model(path) -> FlowModel:
     except (IndexError, ValueError) as exc:
         # a missing field or a field that is not a number
         raise InputError(f"malformed model file {path}: {exc}") from exc
-
-
-def _transforms_from_knots(knots, floor):
-    """The transforms of (knots_in, knots_out) pairs, in order, built one
-    knot count at a time by Marginal1DTransform.from_knot_rows."""
-    rows_by_count = {}
-    for i, (knots_in, _) in enumerate(knots):
-        rows_by_count.setdefault(len(knots_in), []).append(i)
-    built = [None] * len(knots)
-    for rows in rows_by_count.values():
-        for i, tr in zip(rows, Marginal1DTransform.from_knot_rows(
-                [knots[i][0] for i in rows], [knots[i][1] for i in rows], floor)):
-            built[i] = tr
-    return built
 
 
 def _parse_model(lines) -> FlowModel:
@@ -403,6 +386,10 @@ def _parse_model(lines) -> FlowModel:
         W = np.array([[float(v) for v in take().split()] for _ in range(dim)])
         if W.shape != (dim, n_slices) or not np.isfinite(W).all():
             raise InputError("malformed slice matrix in model file")
+        # the log-Jacobian holds only for orthonormal columns; a saved
+        # matrix is orthonormal to within a few ulps
+        if np.abs(W.T @ W - np.eye(n_slices)).max() > 1e-9:
+            raise InputError("slice matrix columns are not orthonormal in model file")
         knots = []  # (knots_in, knots_out) of each transform, bin-major
         for b in range(n_bins):
             for k in range(n_slices):
@@ -415,9 +402,8 @@ def _parse_model(lines) -> FlowModel:
                 if len(knots_in) != n_knots or len(knots_out) != n_knots:
                     raise InputError("knot table size mismatch in model file")
                 knots.append((knots_in, knots_out))
-        built = _transforms_from_knots(knots, floor)
-        layers.append(GisLayer(weights=W, transforms=[
-            built[b * n_slices:(b + 1) * n_slices] for b in range(n_bins)]))
+        layers.append(GisLayer(weights=W, tables=[
+            KnotTable(knots[k::n_slices], floor) for k in range(n_slices)]))
     if take().strip() != "end":
         raise InputError("missing end marker in model file")
 

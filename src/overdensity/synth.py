@@ -16,7 +16,7 @@ Two generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -207,17 +207,10 @@ def generate_lhc_like(n_background: int | None = None, n_signal: int | None = No
                       config: LhcLikeConfig | None = None, seed: int = 0) -> LabeledDataset:
     """Draw the dijet-shaped benchmark; defaults plant an 0.0008 signal
     fraction at (m_jj, m_j1, m_j2) = (3823, 732, 378) GeV."""
-    cfg = config or LhcLikeConfig()
-    if n_background is not None or n_signal is not None:
-        cfg = LhcLikeConfig(
-            n_background=cfg.n_background if n_background is None else n_background,
-            n_signal=cfg.n_signal if n_signal is None else n_signal,
-            m_window=cfg.m_window, m_falloff=cfg.m_falloff,
-            jet_mass_floor=cfg.jet_mass_floor,
-            jet_mass_fraction=cfg.jet_mass_fraction,
-            jet_mass_logwidth=cfg.jet_mass_logwidth,
-            dm_shape=cfg.dm_shape, dm_scale=cfg.dm_scale,
-            tau_beta=cfg.tau_beta, resonance=cfg.resonance)
+    counts = {"n_background": n_background, "n_signal": n_signal}
+    # replace() validates the copy again (__post_init__)
+    cfg = replace(config or LhcLikeConfig(),
+                  **{name: n for name, n in counts.items() if n is not None})
     rng = np.random.default_rng(seed)
     lo, hi = cfg.m_window
     res = cfg.resonance

@@ -40,8 +40,10 @@ class Marginal1DTransform:
     slopes holds the interpolant derivative at each knot; tail_slopes
     are the linear extrapolation slopes below/above the knot range.
     Reported derivatives are clamped at derivative_floor so the log
-    derivative stays finite.  Build transforms with from_knots or
-    from_knot_rows, which check the knots (_checked_slopes).
+    derivative stays finite.  Build transforms with from_knots, which
+    checks the knots (_checked_slopes).  A fitted flow keeps only the
+    knots: conditional.KnotTable derives the same slopes and tails from
+    them, for all bins of a slice at once.
     """
 
     knots_in: np.ndarray
@@ -61,20 +63,6 @@ class Marginal1DTransform:
         d, tails = _checked_slopes(x, y, derivative_floor)
         return cls(knots_in=x, knots_out=y, tail_slopes=tuple(tails.tolist()),
                    derivative_floor=float(derivative_floor), slopes=d)
-
-    @classmethod
-    def from_knot_rows(cls, knots_in, knots_out, derivative_floor=DEFAULT_DERIVATIVE_FLOOR):
-        """One transform per row of the (rows, n) knot tables, all rows
-        built in one vectorized pass (_checked_slopes)."""
-        x = np.array(knots_in, dtype=float, ndmin=2)
-        y = np.array(knots_out, dtype=float, ndmin=2)
-        if x.ndim != 2 or x.shape != y.shape:
-            raise InputError("need matching 1D knot arrays with >= 2 knots")
-        d, tails = _checked_slopes(x, y, derivative_floor)
-        floor = float(derivative_floor)
-        return [cls(knots_in=xi, knots_out=yi, tail_slopes=tuple(ti),
-                    derivative_floor=floor, slopes=di)
-                for xi, yi, ti, di in zip(x, y, tails.tolist(), d)]
 
     # -- evaluation ---------------------------------------------------------
 

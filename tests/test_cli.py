@@ -113,6 +113,7 @@ def test_missing_input_exits_1(tmp_path, capsys):
     pytest.param(r"shift \S+", "shift", id="shift one value short"),
     pytest.param(r"scale \S+", "scale 0", id="zero scale"),
     pytest.param(r"layer 0\n\S+", "layer 0\nnan", id="nan in a slice matrix"),
+    pytest.param(r"layer 0\n-?1", "layer 0\n2", id="non-orthonormal slice matrix"),
     pytest.param(r"edges \S+(.*)", r"edges nan\1", id="nan in edges"),
 ])
 def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, line, replacement):

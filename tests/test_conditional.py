@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from knot_tables import knot_table
 from overdensity.conditional import (
     ConditionalBinning,
-    KnotTable,
     build_binning,
     eval_binned,
     interpolated_inverse,
@@ -23,7 +23,7 @@ def _affine(scale, lo=-5.0, hi=5.0):
 def _apply(transforms, binning, y, m):
     """The per-bin family at conditionals m, as the flow evaluates it."""
     lo, hi, t, _ = binning.interp_weights(np.atleast_1d(m))
-    return interpolated_transform(KnotTable(transforms), lo, hi, t,
+    return interpolated_transform(knot_table(transforms), lo, hi, t,
                                   np.broadcast_to(y, lo.shape).astype(float))
 
 
@@ -79,7 +79,7 @@ def test_interpolated_affine_pair_midway():
 
 
 def test_interpolated_inverse_affine_pair():
-    table = KnotTable([_affine(1.0), _affine(3.0)])
+    table = knot_table([_affine(1.0), _affine(3.0)])
     lo = np.array([0, 0])
     hi = np.array([1, 1])
     t = np.array([0.5, 0.5])
@@ -126,7 +126,7 @@ def test_transform_is_continuous_in_m(rng):
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.lists(st.floats(min_value=-20, max_value=20), min_size=1, max_size=6))
 def test_interpolated_round_trip(t_mix, zs):
-    table = KnotTable([_affine(1.0, -30, 30), _affine(2.5, -30, 30)])
+    table = knot_table([_affine(1.0, -30, 30), _affine(2.5, -30, 30)])
     z = np.asarray(zs)
     n = z.size
     lo = np.zeros(n, dtype=int)
@@ -177,7 +177,7 @@ def binned_family(draw):
 @given(binned_family())
 def test_knot_table_matches_transform_bit_for_bit(family):
     transforms, bins, ys, t = family
-    table = KnotTable(transforms)
+    table = knot_table(transforms)
     psi, deriv = eval_binned(table, bins, ys)
     ref = np.array([np.concatenate(transforms[b].transform(np.array([y])))
                     for b, y in zip(bins, ys)])

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import norm
 
+from knot_tables import knot_table
 from overdensity import transforms
 from overdensity.conditional import KnotTable, interpolated_inverse
 from overdensity.errors import FitError, InputError
-from overdensity.flow import _transforms_from_knots
 from overdensity.transforms import (
     Marginal1DTransform,
     fit_marginal_transform,
@@ -24,7 +24,7 @@ def _invert(t, z):
     """The flow's inverse of one transform: its knot table, bin 0 unmixed."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     b = np.zeros(z.size, dtype=int)
-    return interpolated_inverse(KnotTable([t]), b, b, np.zeros(z.size), z)
+    return interpolated_inverse(knot_table([t]), b, b, np.zeros(z.size), z)
 
 
 def test_wasserstein_two_point_sample():
@@ -336,15 +336,22 @@ def fitted_knot_tables(draw):
 @given(st.lists(fitted_knot_tables(), min_size=1, max_size=10),
        st.sampled_from([1e-6, 0.3, 3.0]))
 def test_stacked_build_matches_from_knots_bit_for_bit(knots, floor):
-    # the model loader's build: one from_knot_rows call per knot count
-    stacked = _transforms_from_knots(knots, floor)
-    assert len(stacked) == len(knots)
-    for (x, y), t in zip(knots, stacked):
-        one = Marginal1DTransform.from_knots(x, y, derivative_floor=floor)
-        for a, b in ((t.knots_in, x), (t.knots_out, y), (t.slopes, one.slopes),
-                     (t.tail_slopes, one.tail_slopes)):
-            _assert_same_bits(a, b)
-        assert t.derivative_floor == floor
+    # KnotTable's build: one _checked_slopes call per knot count
+    table = KnotTable(knots, floor)
+    assert table.floor == floor
+    _, _, _, d0, c2, c3 = table.segments
+    for b, (x, y) in enumerate(knots):
+        t = Marginal1DTransform.from_knots(x, y, derivative_floor=floor)
+        _assert_same_bits(table.knots(b), (x, y))
+        # the knot segments' slot columns, with transform's expressions on
+        # from_knots' slopes, and the slopes of the low and the high tail
+        lo, hi = b * table.stride, b * table.stride + len(x)
+        d = t.slopes
+        delta = np.diff(t.knots_out) / np.diff(t.knots_in)
+        _assert_same_bits(d0[lo + 1:hi], d[:-1])
+        _assert_same_bits(c2[lo + 1:hi], 3.0 * delta - 2.0 * d[:-1] - d[1:])
+        _assert_same_bits(c3[lo + 1:hi], d[:-1] + d[1:] - 2.0 * delta)
+        _assert_same_bits(d0[[lo, hi]], t.tail_slopes)
         # the end-slope and tail rules as Python's max and min on scipy's
         # slopes, one knot table at a time; 3 times the secant, which
         # rounds differently from (3 dy) / dx
