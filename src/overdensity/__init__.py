@@ -17,7 +17,7 @@ from .errors import ConfigError, EventRejected, FitError, InputError
 from .flow import FitConfig, FlowModel, fit_gis, load_model, save_model
 from .jets import Jet, Particle, cluster_antikt, extract_features, nsubjettiness, tau21
 from .synth import LhcLikeConfig, Resonance, ToyConfig, generate_lhc_like, generate_toy
-from .transforms import Marginal1DTransform, fit_marginal_transform, wasserstein_1d_to_gaussian
+from .transforms import fit_marginal_transform, wasserstein_1d_to_gaussian
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "InputError",
     "Jet",
     "LhcLikeConfig",
-    "Marginal1DTransform",
     "Particle",
     "Resonance",
     "ScoreConfig",

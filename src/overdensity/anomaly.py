@@ -165,8 +165,9 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
     underflow to 0 is flagged in underflow and keeps a finite ratio.
 
     Events are one (X, m) tuple: an (n, d) feature matrix and n conditionals.
-    Work is split into fixed-size chunks, so results are independent of
-    the thread count.
+    The report keeps each threshold once, in ascending order.  Work is
+    split into fixed-size chunks, so results are independent of the
+    thread count.
     """
     config = config or ScoreConfig()
     config.validate()
@@ -199,7 +200,7 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
     with np.errstate(over="ignore"):
         alphas = np.exp(log_sig - log_bg)
 
-    thresholds = tuple(sorted(config.thresholds))
+    thresholds = tuple(sorted(set(config.thresholds)))
     report = AnomalyReport(alphas=alphas, p_signal=p_signal,
                            p_background=p_background, clamped=clamped,
                            underflow=underflow, thresholds=thresholds)

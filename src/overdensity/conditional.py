@@ -11,7 +11,6 @@ edge bin applies unweighted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -140,10 +139,10 @@ class KnotTable:
             raise InputError("need matching 1D knot arrays with >= 2 knots")
         self.stride = int(self.n_knots.max()) + 1
         self.floor = float(floor)
-        # every bin's knots end to end, converted in one pass each;
-        # ends / starts index each bin's last / first knot
-        x = np.fromiter(chain.from_iterable(xs), float, self.n_knots.sum())
-        y = np.fromiter(chain.from_iterable(ys), float, x.size)
+        # every bin's knots end to end; ends / starts index each bin's
+        # last / first knot
+        x = np.concatenate(xs, dtype=float)
+        y = np.concatenate(ys, dtype=float)
         ends = np.cumsum(self.n_knots) - 1
         starts = ends + 1 - self.n_knots
         d = np.empty_like(x)

@@ -169,11 +169,10 @@ class FlowModel:
         accumulated log-Jacobian.  Conditionals outside the trained range
         are evaluated at the clamped edge.
         """
-        X, mv, single = self._as_batch(x, m)
-        Z, log_det = self.forward(X, mv)
-        logp = -0.5 * np.sum(Z * Z, axis=1) - 0.5 * self.dim * _LOG_2PI + log_det
-        if single:
-            return float(logp[0])
+        Z, log_det = self.forward(x, m)  # which checks x and m
+        logp = -0.5 * np.sum(Z * Z, axis=-1) - 0.5 * self.dim * _LOG_2PI + log_det
+        if Z.ndim == 1:  # a single point
+            return float(logp)
         return logp
 
 
@@ -220,7 +219,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     """Fit the conditional flow on (data, conditionals).
 
     Per iteration: select the best slice on the current residual, fit one
-    marginal transform per (conditional bin, slice column), and apply the
+    marginal's knots per (conditional bin, slice column), and apply the
     bin-interpolated update to every row.  fit_progress records the summed
     slice Wasserstein score before and after each iteration's update;
     on_iteration, if given, is called with (iteration, before, after).
@@ -272,12 +271,9 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                                              int(seeds[i]))
             # one contiguous row per slice, projected as _apply_layer does
             Yt = np.ascontiguousarray((Z @ W).T)
-            tables = []
-            for y in Yt:
-                fits = [fit_marginal_transform(y[rows], config.n_knots, config.derivative_floor)
-                        for rows in bin_rows]
-                tables.append(KnotTable([(tr.knots_in, tr.knots_out) for tr in fits],
-                                        config.derivative_floor))
+            tables = [KnotTable([fit_marginal_transform(y[rows], config.n_knots)
+                                 for rows in bin_rows], config.derivative_floor)
+                      for y in Yt]
             layer = GisLayer(weights=W, tables=tables)
             Z, P = _apply_layer(layer, Z, lo, hi, t)
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
@@ -397,9 +393,9 @@ def _parse_model(lines) -> FlowModel:
                 if int(meta[0]) != b or int(meta[1]) != k:
                     raise InputError("transform blocks out of order in model file")
                 n_knots = int(meta[2])
-                knots_in = list(map(float, take().split()))
-                knots_out = list(map(float, take().split()))
-                if len(knots_in) != n_knots or len(knots_out) != n_knots:
+                knots_in = np.array(take().split(), dtype=float)
+                knots_out = np.array(take().split(), dtype=float)
+                if knots_in.size != n_knots or knots_out.size != n_knots:
                     raise InputError("knot table size mismatch in model file")
                 knots.append((knots_in, knots_out))
         layers.append(GisLayer(weights=W, tables=[

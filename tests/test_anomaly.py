@@ -75,7 +75,7 @@ def test_alpha_is_exactly_the_density_ratio(toy_model, toy_dataset):
 
 
 def test_selections_are_nested(toy_model, toy_dataset):
-    cfg = ScoreConfig(sigma=0.15, thresholds=(2.5, 1.1, 1.7))
+    cfg = ScoreConfig(sigma=0.15, thresholds=(2.5, 1.1, 1.7, 1.1))
     report = score_events(toy_model, toy_dataset.event_arrays(), cfg)
     assert report.thresholds == (1.1, 1.7, 2.5)
     loose = set(report.selections[1.1])

@@ -154,7 +154,8 @@ def binned_family(draw):
         n_knots = draw(st.integers(2, 40))
         decimals = draw(st.integers(0, 3))
         samples = np.round(rng.standard_normal(2 * n_knots + 200) * 2.0, decimals)
-        tr = fit_marginal_transform(samples, n_knots, derivative_floor=floor)
+        tr = Marginal1DTransform.from_knots(*fit_marginal_transform(samples, n_knots),
+                                            derivative_floor=floor)
         transforms.append(tr)
         x = tr.knots_in
         values = np.concatenate([

@@ -101,7 +101,7 @@ def test_derivative_floor_is_respected():
 
 def test_fit_marginal_gaussianizes_a_lognormal(rng):
     sample = np.exp(rng.standard_normal(30_000) * 0.5)
-    t = fit_marginal_transform(sample, n_knots=48)
+    t = Marginal1DTransform.from_knots(*fit_marginal_transform(sample, n_knots=48))
     mapped, _ = t.transform(sample)
     assert wasserstein_1d_to_gaussian(mapped) < 0.02
     assert wasserstein_1d_to_gaussian(sample) > 0.2
@@ -125,7 +125,7 @@ def test_fit_marginal_rejects_bad_input():
 def test_duplicate_quantile_knots_are_collapsed():
     # heavy atom at zero: many quantile knots coincide and must be deduped
     sample = np.concatenate([np.zeros(900), np.linspace(1.0, 2.0, 300)])
-    t = fit_marginal_transform(sample, n_knots=16)
+    t = Marginal1DTransform.from_knots(*fit_marginal_transform(sample, n_knots=16))
     assert np.all(np.diff(t.knots_in) > 0)
     psi, deriv = t.transform(sample)
     assert np.all(np.isfinite(psi))
@@ -181,7 +181,7 @@ def test_inverse_round_trip(knots, values):
                 max_size=400, unique=True))
 def test_fitted_transform_round_trip(samples):
     sample = np.asarray(samples)
-    t = fit_marginal_transform(sample, n_knots=16)
+    t = Marginal1DTransform.from_knots(*fit_marginal_transform(sample, n_knots=16))
     psi, deriv = t.transform(sample)
     back = _invert(t, psi)
     psi_back, _ = t.transform(back)
@@ -308,10 +308,10 @@ def test_fitted_knots_and_slopes_match_the_scipy_fit(data, n_knots):
         with pytest.raises(FitError):
             fit_marginal_transform(sample, n_knots)
         return
-    t = fit_marginal_transform(sample, n_knots)
-    _assert_same_bits(t.knots_in, q)
-    _assert_same_bits(t.knots_out, z)
-    _assert_same_bits(t.slopes, d)
+    knots_in, knots_out = fit_marginal_transform(sample, n_knots)
+    _assert_same_bits(knots_in, q)
+    _assert_same_bits(knots_out, z)
+    _assert_same_bits(Marginal1DTransform.from_knots(knots_in, knots_out).slopes, d)
 
 
 @st.composite
@@ -327,10 +327,10 @@ def fitted_knot_tables(draw):
         st.integers(min_value=1, max_value=12))))
     sample = draw(st.lists(element, min_size=2 * n_knots, max_size=120))
     try:
-        t = fit_marginal_transform(np.asarray(sample, dtype=float), n_knots)
+        knots_in, knots_out = fit_marginal_transform(np.asarray(sample, dtype=float), n_knots)
     except FitError:  # fewer than 2 distinct values
         return [0.0, 1.0], [-1.0, 1.0]
-    return t.knots_in.tolist(), t.knots_out.tolist()
+    return knots_in.tolist(), knots_out.tolist()
 
 
 @given(st.lists(fitted_knot_tables(), min_size=1, max_size=10),
