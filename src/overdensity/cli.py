@@ -298,8 +298,8 @@ def cmd_score(args) -> int:
     dataio.write_manifest(os.path.join(args.out_dir, "manifest.json"), {
         "command": "score",
         "version": VERSION,
-        "config": {k: (list(cfg[k]) if isinstance(cfg[k], tuple) else cfg[k])
-                   for k in _SCORE_SCHEMA},
+        # the thresholds scoring used: sorted, each once
+        "config": {**cfg, "thresholds": list(report.thresholds)},
         "inputs": [_input_entry(args.features, table.n_events),
                    _input_entry(args.model, None)],
         "outputs": [{"path": scores_path, "rows": n_scores},

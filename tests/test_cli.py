@@ -296,13 +296,51 @@ def test_bad_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_scipy_stats_and_interpolate_out():
-    # both cost about half a second and 40 MB on every run; the package
-    # needs neither (tests use them as oracles)
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(overdensity.__file__))
-    probe = ("import sys, overdensity.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
-             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
+
+
+def test_thresholds_are_recorded_as_used(pipeline_dir, tmp_path):
+    # scoring keeps each threshold once, sorted; so does the manifest
+    configs = []
+    for name, thresholds in (("twice", ["1.5", "1.5"]), ("once", ["1.5"])):
+        out = tmp_path / name
+        assert main(["score", "--features", str(pipeline_dir / "data" / "features.csv"),
+                     "--model", str(pipeline_dir / "model.txt"), "--out-dir", str(out),
+                     "--sigma", "0.15", "--thresholds", *thresholds]) == 0
+        configs.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert configs[0] == configs[1]
+    assert configs[0]["thresholds"] == [1.5]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.special alone costs about 0.4 s and 20 MB on every run; the
+    # package needs no scipy module (tests use scipy as an oracle)
+    done = _run_python("import sys, overdensity.cli; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m == 'scipy' or m.startswith('scipy.')))")
     assert done.stdout.strip() == "[]"
+
+
+def test_pipeline_runs_with_scipy_unimportable(tmp_path):
+    # a None entry in sys.modules makes every `import scipy...` fail
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from overdensity.cli import main
+root = {str(tmp_path)!r}
+codes = [main(["synth", "lhc", "--out-dir", root + "/data", "--seed", "0",
+               "--n-background", "4800", "--n-signal", "200"]),
+         main(["fit", "--features", root + "/data/features.csv",
+               "--model-out", root + "/model.txt", "--iterations", "2", "--bins", "10",
+               "--quiet"]),
+         main(["score", "--features", root + "/data/features.csv",
+               "--model", root + "/model.txt", "--out-dir", root + "/scored",
+               "--sigma", "250"])]
+print(codes)
+"""
+    done = _run_python(script)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0]"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import PchipInterpolator
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from knot_tables import knot_table
@@ -369,6 +370,20 @@ def test_normal_quantile_tables_match_norm_ppf():
         _assert_same_bits(z, norm.ppf(p))
         # wasserstein_1d_to_gaussian's plotting positions (j - 0.5) / n
         _assert_same_bits(z, norm.ppf((np.arange(1, n + 1) - 0.5) / n))
+
+
+def test_ndtri_port_matches_scipy_beyond_knot_levels():
+    rng = np.random.default_rng(20)
+    near_one = 1.0 - 2.0 ** -np.arange(1, 54)  # up to the last double below 1
+    # the branch boundaries exp(-2) and 1 - exp(-2), and where sqrt(-2 log y)
+    # crosses 8 (y = exp(-32)), each with both neighbours
+    edges = np.exp([-2.0, -32.0])
+    edges = np.concatenate([edges, 1.0 - edges[:1]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    for p in (rng.random(200_000),
+              10.0 ** rng.uniform(-300.0, 0.0, 50_000),  # down to 1e-300
+              near_one, edges):
+        _assert_same_bits(transforms._ndtri(p), ndtri(p))
 
 
 def test_knots_and_wasserstein_reject_bad_input():
