@@ -10,10 +10,15 @@ quadrature over m + delta with the central |delta| < exclusion_halfwidth
 points left out, so a bump localized at m does not contaminate its own
 background estimate.  Smooth backgrounds give alpha near 1 everywhere;
 a localized over-density pushes alpha above 1 only inside the bump.
+
+Each distinct (event, lo, hi, t) density row is evaluated once: an
+event's points past the first or last bin center, or clamped to the
+trained range, often share one row.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,17 +53,20 @@ class ScoreConfig:
     signal_sigma: float | None = None
 
     def validate(self) -> None:
-        if not self.sigma > 0:
-            raise ConfigError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError("sigma must be positive and finite")
         if self.n_quad < 2:
             raise ConfigError("n_quad must be at least 2")
         if self.exclusion_halfwidth is not None and self.exclusion_halfwidth < 0:
             raise ConfigError("exclusion_halfwidth must be non-negative")
         if len(self.thresholds) == 0 or any(t <= 0 for t in self.thresholds):
             raise ConfigError("thresholds must be positive")
-        if self.signal_sigma is not None and not self.signal_sigma > 0:
-            raise ConfigError("signal_sigma must be positive")
-        self.background_quadrature()  # raises if every point is excluded
+        if self.signal_sigma is not None and not 0 < self.signal_sigma < math.inf:
+            raise ConfigError("signal_sigma must be positive and finite")
+        # each raises if its quadrature overflows, the background one also
+        # if every point is excluded
+        self.background_quadrature()
+        self.signal_quadrature()
 
     def background_quadrature(self):
         excl = self.sigma / 2.0 if self.exclusion_halfwidth is None else self.exclusion_halfwidth
@@ -67,20 +75,31 @@ class ScoreConfig:
     def signal_quadrature(self):
         if self.signal_sigma is None:
             return np.zeros(1), np.ones(1)  # the plain density at m
-        return _quadrature(self.signal_sigma, self.n_quad, 0.0)
+        return _quadrature(self.signal_sigma, self.n_quad, 0.0, "signal_sigma")
 
 
-def _quadrature(sigma, n_quad, exclusion_halfwidth):
-    """Offsets and renormalized Gaussian weights for density averaging."""
-    offsets = np.linspace(-2.0 * sigma, 2.0 * sigma, n_quad)
-    keep = np.abs(offsets) >= exclusion_halfwidth
-    if not np.any(keep):
-        raise ConfigError("exclusion_halfwidth removes every quadrature point")
-    offsets = offsets[keep]
-    y = offsets / sigma
-    # the N(0, sigma) pdf, written as scipy.stats.norm.pdf computes it
-    weights = np.exp(-y**2 / 2.0) / np.sqrt(2 * np.pi) / sigma
-    weights = weights / weights.sum()
+def _quadrature(sigma, n_quad, exclusion_halfwidth, name="sigma"):
+    """Offsets and renormalized Gaussian weights for density averaging.
+
+    A sigma so large that +/- 2 sigma overflows, or so small that the
+    pdf's 1 / sigma does, is a ConfigError that names its field, name.
+    """
+    overflow = ConfigError(f"{name} = {sigma:g} overflows the quadrature")
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.linspace(-2.0 * sigma, 2.0 * sigma, n_quad)
+        if not np.isfinite(offsets).all():
+            raise overflow
+        keep = np.abs(offsets) >= exclusion_halfwidth
+        if not np.any(keep):
+            raise ConfigError("exclusion_halfwidth removes every quadrature point")
+        offsets = offsets[keep]
+        y = offsets / sigma
+        # the N(0, sigma) pdf, written as scipy.stats.norm.pdf computes it
+        weights = np.exp(-y**2 / 2.0) / np.sqrt(2 * np.pi) / sigma
+        weights = weights / weights.sum()
+    # an infinite pdf value leaves NaN weights, an infinite sum zeros
+    if not (np.isfinite(weights).all() and weights.sum() > 0):
+        raise overflow
     return offsets, weights
 
 
@@ -135,26 +154,37 @@ def _averaged_densities(model, X, m, quadratures):
     """Log kernel-averaged densities log sum_j w_j p(x | m + delta_j), one
     per (offsets, weights) quadrature, each with its clamp flag.
 
-    Every (point, event) row goes through one stacked log_density pass;
-    each average is the log-sum-exp of log p_j + log w_j, so it stays
+    An event's rows at t = 0 in the same lo bin use that bin's maps alone,
+    so they have one density.  Each distinct row goes through one stacked
+    log_density pass, and its result is copied to the rows that repeat
+    it; a row's density does not depend on the other rows of its pass.
+    Each average is the log-sum-exp of log p_j + log w_j, so it stays
     finite where every p_j underflows.  Its sum runs in offset order, so
     results do not depend on the chunk size.
     """
     offsets = np.concatenate([q[0] for q in quadratures])
     shifted = m[None, :] + offsets[:, None]
-    logp = model.log_density(np.tile(X, (offsets.size, 1)),
-                             shifted.ravel()).reshape(shifted.shape)
-    clamped = model.conditional_clamped(shifted)
+    lo, _, t, clamped = model.binning.interp_weights(shifted)
+    point = np.arange(offsets.size)[:, None]
+    # mixed rows (t > 0) get a key of their own, which no other point has
+    key = np.where(t == 0, lo, -1 - point)
+    first = np.empty(key.shape, dtype=np.intp)  # the first point with the row's key
+    for j in range(offsets.size - 1, -1, -1):
+        first[key == key[j]] = j
+    j, i = np.nonzero(first == point)
+    logp = np.empty(shifted.shape)
+    logp[j, i] = model.log_density(X[i], shifted[j, i])
+    logp = np.take_along_axis(logp, first, axis=0)
     out = []
-    first = 0
+    begin = 0
     for _, weights in quadratures:
-        terms = logp[first:first + weights.size] + np.log(weights)[:, None]
+        terms = logp[begin:begin + weights.size] + np.log(weights)[:, None]
         top = terms.max(axis=0)
         total = np.zeros(X.shape[0])
         for row in terms:
             total += np.exp(row - top)
-        out.append((top + np.log(total), clamped[first:first + weights.size].any(axis=0)))
-        first += weights.size
+        out.append((top + np.log(total), clamped[begin:begin + weights.size].any(axis=0)))
+        begin += weights.size
     return out
 
 
@@ -244,13 +274,17 @@ def summarize(events, selection, feature_names) -> SelectionSummary:
 def scan_profile(report: AnomalyReport, events, bin_width: float):
     """Histogram the alpha profile over m: per fixed-width bin, the event
     count, max alpha and 99th-percentile alpha (None when empty)."""
-    if not bin_width > 0:
-        raise ConfigError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ConfigError("scan_bin_width must be positive and finite")
     _, mv = _event_arrays(events)
     if mv.size == 0:
         return []
     if mv.size != report.alphas.size:
         raise InputError("events do not match the report")
+    # bin numbers m / bin_width past 2**53 are not whole doubles; divided
+    # as Python floats, an overflow is inf, not a warning
+    if not max(-float(mv.min()), float(mv.max())) / bin_width < 2.0**53:
+        raise ConfigError(f"scan_bin_width = {bin_width:g} numbers the bins of m beyond 2**53")
     lo = np.floor(mv.min() / bin_width) * bin_width
     n_bins = int(np.floor((mv.max() - lo) / bin_width)) + 1
     idx = np.clip(((mv - lo) / bin_width).astype(int), 0, n_bins - 1)

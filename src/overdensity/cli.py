@@ -280,14 +280,14 @@ def cmd_score(args) -> int:
     report = anomaly.score_events(model, table.event_arrays(), score_cfg,
                                   threads=cfg["threads"], feature_names=names)
 
+    # before any output, as scan_profile rejects a bad scan_bin_width
+    scan_rows = anomaly.scan_profile(report, table.event_arrays(), cfg["scan_bin_width"])
     os.makedirs(args.out_dir, exist_ok=True)
     scores_path = os.path.join(args.out_dir, "scores.csv")
     scan_path = os.path.join(args.out_dir, "scan.csv")
     summary_path = os.path.join(args.out_dir, "summary.txt")
     n_scores = _atomic_write(scores_path, lambda p: dataio.write_scores(
         p, table.event_ids, table.conditionals, report))
-    scan_rows = anomaly.scan_profile(report, table.event_arrays(),
-                                     cfg["scan_bin_width"]) if table.n_events else []
     n_scan = _atomic_write(scan_path, lambda p: dataio.write_scan(p, scan_rows))
     if table.n_events:
         text = _summary_text(report, names)

@@ -195,8 +195,9 @@ def _count_le(row, start, width, v):
     return p
 
 
-def eval_binned(table: KnotTable, bin_idx, y):
-    """Evaluate bin bin_idx[i]'s transform at y[i]; returns (psi, deriv).
+def eval_binned(table: KnotTable, start, y):
+    """Evaluate the transform of the bin whose first slot is start[i]
+    (bin * table.stride) at y[i]; returns (psi, deriv).
 
     Row for row bit-identical to Marginal1DTransform.transform for finite
     y: the same Hermite expressions in the same order; on a tail
@@ -204,7 +205,7 @@ def eval_binned(table: KnotTable, bin_idx, y):
     An infinite y gives NaN (inf * 0 in the cubic terms).
     """
     y = np.ascontiguousarray(y, dtype=float)  # every search round reads all of y
-    slot = _count_le(table.edges, bin_idx * table.stride, table.stride, y)
+    slot = _count_le(table.edges, start, table.stride, y)
     x, h, a, d0, c2, c3 = np.take(table.segments, slot, axis=1)
     t = (y - x) / h
     psi = a + h * t * (d0 + t * (c2 + t * c3))
@@ -231,26 +232,67 @@ def _bracket(table: KnotTable, bin_idx, z):
             np.where(tail, v, x[np.minimum(slot + 1, last)]))
 
 
-def interpolated_transform(table: KnotTable, lo, hi, t, y):
-    """Forward map through the bin-interpolated transform, elementwise.
+class InterpPlan:
+    """The selections that evaluating a batch at interpolation weights
+    (lo, hi, t) needs, made once per pass and shared by every (layer,
+    slice) of it.
 
-    Returns (psi, deriv); derivatives are already clamped per transform,
-    and a convex combination keeps the clamp.  Both bins are evaluated in
-    one eval_binned call: every row in its lo bin, then the mixed rows
-    (t > 0) in their hi bin.
+    order lists the batch's rows with the mixed ones (t > 0) first, each
+    group in its original order.  A batch taken in that order blends its
+    first t.size rows, so the blend is a slice.  bins holds every
+    reordered row's lo bin and then each mixed row's hi bin; t and
+    s = 1 - t are the mixed rows' weights.
+    """
+
+    def __init__(self, lo, hi, t):
+        mixed = t > 0
+        self.order = np.concatenate((np.flatnonzero(mixed), np.flatnonzero(~mixed)))
+        first = self.order[:np.count_nonzero(mixed)]
+        self.bins = np.concatenate((lo[self.order], hi[first]))
+        self.t = t[first]
+        self.s = 1.0 - self.t
+        self._starts = {}
+
+    def starts(self, stride):
+        """bins * stride: each row's first slot in a KnotTable of that stride."""
+        if stride not in self._starts:
+            self._starts[stride] = self.bins * stride
+        return self._starts[stride]
+
+    def restore(self, a):
+        """The rows of a, taken in plan order, back in the batch's order."""
+        out = np.empty_like(a)
+        out[self.order] = a
+        return out
+
+
+def interpolated_transform(table: KnotTable, start, t, s, y):
+    """Forward map through the bin-interpolated transform of rows in an
+    InterpPlan's order: start = plan.starts(table.stride), t = plan.t and
+    s = plan.s.  Returns (psi, deriv) in that order.
+
+    Derivatives are already clamped per transform, and a convex
+    combination keeps the clamp.  Both bins are evaluated in one
+    eval_binned call: every row in its lo bin, then the mixed rows, which
+    lead y, in their hi bin.
     """
     y = np.asarray(y, dtype=float)
-    mixed = np.flatnonzero(t > 0)
-    psi, deriv = eval_binned(table, np.concatenate((lo, hi[mixed])),
-                             np.concatenate((y, y[mixed])))
-    n = y.size
+    n, k = y.size, t.size
+    psi, deriv = eval_binned(table, start, np.concatenate((y, y[:k])))
     psi_hi, d_hi = psi[n:], deriv[n:]
     psi, deriv = psi[:n], deriv[:n]
-    if mixed.size:
-        tm = t[mixed]
-        psi[mixed] = (1.0 - tm) * psi[mixed] + tm * psi_hi
-        deriv[mixed] = (1.0 - tm) * deriv[mixed] + tm * d_hi
+    psi[:k] = s * psi[:k] + t * psi_hi
+    deriv[:k] = s * deriv[:k] + t * d_hi
     return psi, deriv
+
+
+def _interpolate_rows(table: KnotTable, lo, hi, t, y):
+    """interpolated_transform at weights (lo, hi, t) for rows in any order:
+    planned, evaluated in plan order and put back."""
+    plan = InterpPlan(lo, hi, t)
+    psi, deriv = interpolated_transform(table, plan.starts(table.stride), plan.t, plan.s,
+                                        np.asarray(y, dtype=float)[plan.order])
+    return plan.restore(psi), plan.restore(deriv)
 
 
 def interpolated_inverse(table: KnotTable, lo, hi, t, z):
@@ -259,11 +301,12 @@ def interpolated_inverse(table: KnotTable, lo, hi, t, z):
     The root of (1-t)*T_lo(y) + t*T_hi(y) = z lies between the two
     single-bin roots, so the union of their brackets holds it.  One
     safeguarded Newton solve on interpolated_transform finds it, starting
-    from the t-blend of the two secant points.
+    from the t-blend of the two secant points; each step plans the rows
+    it evaluates.
     """
     z = np.ascontiguousarray(z, dtype=float)  # as in eval_binned
     a_lo, v_lo, c_lo = _bracket(table, lo, z)
     a_hi, v_hi, c_hi = _bracket(table, hi, z)
     return safeguarded_newton(
-        lambda rows, u: interpolated_transform(table, lo[rows], hi[rows], t[rows], u),
+        lambda rows, u: _interpolate_rows(table, lo[rows], hi[rows], t[rows], u),
         z, (1.0 - t) * v_lo + t * v_hi, np.minimum(a_lo, a_hi), np.maximum(c_lo, c_hi))

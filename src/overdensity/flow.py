@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditional import (ConditionalBinning, KnotTable, build_binning,
+from .conditional import (ConditionalBinning, InterpPlan, KnotTable, build_binning,
                           interpolated_inverse, interpolated_transform)
 from .errors import ConfigError, FitError, InputError
 from .transforms import (DEFAULT_DERIVATIVE_FLOOR, DEFAULT_KNOTS,
@@ -79,8 +79,8 @@ class GisLayer:
     tables: list
 
 
-def _apply_layer(layer: GisLayer, Z, lo, hi, t, log_det=None):
-    """Apply one layer to the rows of Z at interpolation weights (lo, hi, t).
+def _apply_layer(layer: GisLayer, Z, plan: InterpPlan, log_det=None):
+    """Apply one layer to the rows of Z, taken in the plan's order.
 
     Returns (Z', P), P being the transformed slice coordinates.  Each
     slice's log-derivative is added into log_det, if given, in slice order.
@@ -90,8 +90,9 @@ def _apply_layer(layer: GisLayer, Z, lo, hi, t, log_det=None):
     W = layer.weights
     Y = Z @ W
     P = np.empty_like(Y)
-    for k in range(W.shape[1]):
-        P[:, k], deriv = interpolated_transform(layer.tables[k], lo, hi, t, Y[:, k])
+    for k, table in enumerate(layer.tables):
+        P[:, k], deriv = interpolated_transform(table, plan.starts(table.stride),
+                                                plan.t, plan.s, Y[:, k])
         if log_det is not None:
             log_det += np.log(deriv)
     return Z + (P - Y) @ W.T, P
@@ -126,21 +127,22 @@ class FlowModel:
             raise InputError("features and conditionals must be finite")
         return X, mv, single
 
-    def conditional_clamped(self, m):
-        """True where m falls outside the trained conditional range."""
-        _, flag = self.binning.clamp(np.asarray(m, dtype=float))
-        return flag
-
     # -- core maps ----------------------------------------------------------
 
     def forward(self, x, m):
-        """Map data to latent space; returns (z, log_det)."""
+        """Map data to latent space; returns (z, log_det).
+
+        Each row maps on its own, so the pass runs over the rows in
+        plan order and puts them back at the end.
+        """
         X, mv, single = self._as_batch(x, m)
-        Z = (X - self.shift) / self.scale
-        log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         lo, hi, t, _ = self.binning.interp_weights(mv)
+        plan = InterpPlan(lo, hi, t)
+        Z = (X[plan.order] - self.shift) / self.scale
+        log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         for layer in self.layers:
-            Z, _ = _apply_layer(layer, Z, lo, hi, t, log_det)
+            Z, _ = _apply_layer(layer, Z, plan, log_det)
+        Z, log_det = plan.restore(Z), plan.restore(log_det)
         if single:
             return Z[0], float(log_det[0])
         return Z, log_det
@@ -259,6 +261,11 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                        f"{binning.edges[b + 1]:g}] has {counts[b]} samples; "
                        f"needs >= {min_per_bin}")
     lo, hi, t, _ = binning.interp_weights(m)
+    plan = InterpPlan(lo, hi, t)
+    # the fit runs on the rows in plan order: every step below sorts its
+    # sample or maps each row on its own, so the model does not change
+    Z = Z[plan.order]
+    bin_idx = bin_idx[plan.order]
     bin_rows = [np.flatnonzero(bin_idx == b) for b in range(binning.n_bins)]
 
     layers = []
@@ -275,7 +282,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                                  for rows in bin_rows], config.derivative_floor)
                       for y in Yt]
             layer = GisLayer(weights=W, tables=tables)
-            Z, P = _apply_layer(layer, Z, lo, hi, t)
+            Z, P = _apply_layer(layer, Z, plan)
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
             layers.append(layer)
             progress.append((before, after))

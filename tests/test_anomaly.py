@@ -40,6 +40,23 @@ def test_score_config_validation():
         ScoreConfig(sigma=1.0, exclusion_halfwidth=3.0).validate()
     with pytest.raises(ConfigError):
         ScoreConfig(signal_sigma=-0.5).validate()
+    # non-finite widths, and quadratures whose offsets or weights overflow,
+    # are rejected before they warn, naming the field
+    for field, value in (("sigma", np.inf), ("sigma", np.nan), ("sigma", 1e308),
+                         ("sigma", 5e-324), ("signal_sigma", np.inf),
+                         ("signal_sigma", 1e308), ("signal_sigma", 5e-324)):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            ScoreConfig(**{field: value}).validate()
+
+
+def test_scan_bin_width_validation():
+    report = type("R", (), {})()
+    report.alphas = np.ones(3)
+    events = (np.zeros((3, 1)), np.array([1000.0, 2500.0, 4000.0]))
+    for width in (0.0, -1.0, np.inf, np.nan, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match="^scan_bin_width "):
+            scan_profile(report, events, width)
+    assert len(scan_profile(report, events, 1.0)) == 3001
 
 
 def test_smooth_background_scores_near_one(toy_model, toy_dataset):
@@ -105,6 +122,65 @@ def test_chunk_size_does_not_change_results(toy_model, toy_dataset, monkeypatch,
         got = score_events(toy_model, events, cfg)
         for name in ("p_signal", "p_background", "alphas", "clamped"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), (rows, name)
+
+
+@pytest.mark.parametrize("sigma, signal_sigma", [(0.15, None), (0.15, 0.02), (0.5, None)])
+def test_each_distinct_density_row_is_evaluated_once(toy_model, toy_dataset, monkeypatch,
+                                                     sigma, signal_sigma):
+    # events whose every quadrature point lies beyond the first or the
+    # last bin center, where t = 0 and all of an event's rows are one row,
+    # next to ordinary events; at sigma = 0.5 these have rows beyond both
+    # centers, which are two rows
+    X, m = toy_dataset.event_arrays()
+    low, high = toy_model.binning.centers[[0, -1]] + np.array([-2.0, 2.0]) * sigma
+    m = np.concatenate([[low - 0.2, low - 0.1, high + 0.1, high + 0.2], m[:6]])
+    X = X[:m.size]
+    cfg = ScoreConfig(sigma=sigma, thresholds=(1.5,), signal_sigma=signal_sigma)
+
+    def stacked(quadrature):
+        # every (point, event) row in one log_density pass, as the average
+        # would be without the copies
+        offsets, weights = quadrature
+        shifted = m[None, :] + offsets[:, None]
+        logp = toy_model.log_density(np.tile(X, (offsets.size, 1)),
+                                     shifted.ravel()).reshape(shifted.shape)
+        terms = logp + np.log(weights)[:, None]
+        top = terms.max(axis=0)
+        total = np.zeros(m.size)
+        for row in terms:
+            total += np.exp(row - top)
+        return np.exp(top + np.log(total))
+
+    p_signal = stacked(cfg.signal_quadrature())
+    p_background = stacked(cfg.background_quadrature())
+
+    passes = []
+    log_density = toy_model.log_density
+    monkeypatch.setattr(toy_model, "log_density",
+                        lambda x, mm: passes.append((x, mm)) or log_density(x, mm))
+    report = score_events(toy_model, (X, m), cfg)
+    assert report.p_signal.tobytes() == p_signal.tobytes()
+    assert report.p_background.tobytes() == p_background.tobytes()
+
+    # the distinct rows, point-major: a row at t = 0 repeats the event's
+    # first earlier row at t = 0 in the same lo bin
+    offsets = np.concatenate([cfg.signal_quadrature()[0], cfg.background_quadrature()[0]])
+    shifted = m[None, :] + offsets[:, None]
+    lo, _, t, _ = toy_model.binning.interp_weights(shifted)
+    seen = set()
+    rows = []
+    for j in range(offsets.size):
+        for i in range(m.size):
+            key = (i, lo[j, i]) if t[j, i] == 0 else (i, "mixed", j)
+            if key not in seen:
+                seen.add(key)
+                rows.append((i, j))
+    (x_got, m_got), = passes
+    i, j = np.array(rows).T
+    assert x_got.tobytes() == X[i].tobytes()
+    assert m_got.tobytes() == shifted[j, i].tobytes()
+    # an edge event has one row
+    assert np.bincount(i)[:4].tolist() == [1, 1, 1, 1]
 
 
 def test_underflow_far_outside_support(toy_model):

@@ -182,6 +182,22 @@ def test_dimension_mismatch_exits_2(pipeline_dir, tmp_path, capsys):
     assert "expects 1 features" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma", "inf"), ("--sigma", "1e308"), ("--signal-sigma", "inf"),
+    ("--scan-bin-width", "inf"), ("--scan-bin-width", "1e-300"),
+])
+def test_unusable_width_is_a_config_error_before_any_output(pipeline_dir, tmp_path,
+                                                            capsys, flag, value):
+    out = tmp_path / "scores"
+    code = main(["score", "--features", str(pipeline_dir / "data" / "features.csv"),
+                 "--model", str(pipeline_dir / "model.txt"), "--out-dir", str(out),
+                 "--sigma", "0.15", flag, value])
+    assert code == 2  # a ConfigError, not a complaint about the input file
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + flag[2:].replace("-", "_") + " ")
+    assert not out.exists()
+
+
 def test_empty_features_score_is_clean(pipeline_dir, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("event_id,m,x1\n")

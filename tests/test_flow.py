@@ -55,6 +55,28 @@ def test_forward_inverse_round_trip(gauss2d_model, rng):
     assert np.max(np.abs(back - x[idx])) < 1e-8
 
 
+def test_forward_does_not_depend_on_row_order(gauss2d_model, rng):
+    # scoring plans rows mixed-first and evaluates repeated rows once, so
+    # each row's result must not depend on where it sits in the batch
+    model, x, _ = gauss2d_model
+    edges, centers = model.binning.edges, model.binning.centers
+    m = np.concatenate([
+        [edges[0] - 1.0, edges[0], 0.5 * (edges[0] + centers[0])],    # low edge
+        centers,                                                       # t = 0
+        0.5 * (centers[:-1] + centers[1:]),                            # mixed
+        rng.uniform(centers[0], centers[-1], 40),                      # mixed
+        [0.5 * (centers[-1] + edges[-1]), edges[-1], edges[-1] + 1.0],  # high edge
+    ])
+    X = x[:m.size]
+    t = model.binning.interp_weights(m)[2]
+    assert (t > 0).any() and (t == 0).any()
+    z, log_det = model.forward(X, m)
+    for perm in (rng.permutation(m.size), np.arange(m.size)[::-1]):
+        z_p, log_det_p = model.forward(X[perm], m[perm])
+        assert z_p.tobytes() == z[perm].tobytes()
+        assert log_det_p.tobytes() == log_det[perm].tobytes()
+
+
 def test_log_det_matches_finite_differences(gauss2d_model):
     model, x, m = gauss2d_model
     for i in (0, 123, 4567):
