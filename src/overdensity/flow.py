@@ -10,11 +10,18 @@ leaving the orthogonal complement of span(W) untouched.  The same W is
 shared by all conditional bins; only the 1D transforms depend on the bin.
 Because the update acts componentwise in the W basis, each layer adds
 exactly K marginal log-derivative terms to the log-Jacobian.
+
+The fit scores each layer's candidate frames on a thread pool with one
+worker per CPU the process may use (the sorts inside each score release
+the interpreter lock).  The scores come back in candidate order, so the
+model is byte-identical for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,36 +188,64 @@ class FlowModel:
 # -- slice selection ----------------------------------------------------------
 
 
-def _axis_candidate(X, k):
-    """Orthonormal candidate made of the k most non-Gaussian coordinate axes."""
-    scores = np.array([wasserstein_1d_to_gaussian(X[:, a]) for a in range(X.shape[1])])
+def _axis_candidate(Xt, k):
+    """Orthonormal candidate made of the k most non-Gaussian coordinate axes.
+
+    Xt holds one coordinate per row (X transposed, contiguous).
+    """
+    scores = np.array([wasserstein_1d_to_gaussian(column) for column in Xt])
     order = np.argsort(-scores, kind="stable")[:k]
-    W = np.zeros((X.shape[1], k))
+    W = np.zeros((Xt.shape[0], k))
     W[order, np.arange(k)] = 1.0
     return W
 
 
-def _random_orthonormal(rng, d, k):
-    G = rng.standard_normal((d, k))
-    Q, R = np.linalg.qr(G)
-    sign = np.sign(np.diag(R))
+def _random_orthonormal(rng, n, d, k):
+    """n random d x k frames with orthonormal columns, as an (n, d, k) stack.
+
+    One draw and one stacked QR: bit for bit the frames of n draws of
+    (d, k) in turn, each QR'd and sign-fixed on its own.
+    """
+    Q, R = np.linalg.qr(rng.standard_normal((n, d, k)))
+    sign = np.sign(np.diagonal(R, axis1=1, axis2=2))
     sign[sign == 0] = 1.0
-    return Q * sign
+    return Q * sign[:, None, :]
 
 
-def _candidate_score(X, W):
+def _candidate_score(Xt, W):
     # projected as W^T X^T, so each slice's sample is a contiguous row
-    return sum(wasserstein_1d_to_gaussian(y) for y in W.T @ X.T)
+    return sum(wasserstein_1d_to_gaussian(y) for y in W.T @ Xt)
 
 
-def _select_slice_scored(X, n_slices, n_candidates, seed):
+def _score_group(Xt, group):
+    return [_candidate_score(Xt, W) for W in group]
+
+
+def _select_slice_scored(X, n_slices, n_candidates, seed, pool, workers):
+    """Best of the axis frame and n_candidates random frames, with its score.
+
+    The candidates are scored in `workers` interleaved groups on pool;
+    the scores go back in candidate order, so the choice does not depend
+    on the worker count.
+    """
     d = X.shape[1]
     rng = np.random.default_rng(seed)
-    candidates = [_axis_candidate(X, n_slices)]
-    candidates.extend(_random_orthonormal(rng, d, n_slices) for _ in range(n_candidates))
-    scores = np.array([_candidate_score(X, W) for W in candidates])
+    Xt = np.ascontiguousarray(X.T)
+    candidates = np.concatenate([_axis_candidate(Xt, n_slices)[None],
+                                 _random_orthonormal(rng, n_candidates, d, n_slices)])
+    groups = [candidates[w::workers] for w in range(workers)]
+    scores = np.empty(len(candidates))
+    for w, group_scores in enumerate(pool.map(_score_group, [Xt] * workers, groups)):
+        scores[w::workers] = group_scores
     best = int(np.argmax(scores))  # ties resolve to the lowest index
     return candidates[best], float(scores[best])
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # -- fitting -------------------------------------------------------------------
@@ -225,6 +260,8 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     bin-interpolated update to every row.  fit_progress records the summed
     slice Wasserstein score before and after each iteration's update;
     on_iteration, if given, is called with (iteration, before, after).
+    The slice search runs on one thread pool per fit, sized to the CPUs
+    the process may use; it has no setting and does not change the model.
     """
     if config is None:
         config = FitConfig()
@@ -273,21 +310,23 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     if config.n_iterations > 0:
         seeds = np.random.SeedSequence(config.rng_seed).generate_state(
             config.n_iterations, dtype=np.uint64)
-        for i in range(config.n_iterations):
-            W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
-                                             int(seeds[i]))
-            # one contiguous row per slice, projected as _apply_layer does
-            Yt = np.ascontiguousarray((Z @ W).T)
-            tables = [KnotTable([fit_marginal_transform(y[rows], config.n_knots)
-                                 for rows in bin_rows], config.derivative_floor)
-                      for y in Yt]
-            layer = GisLayer(weights=W, tables=tables)
-            Z, P = _apply_layer(layer, Z, plan)
-            after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
-            layers.append(layer)
-            progress.append((before, after))
-            if on_iteration is not None:
-                on_iteration(i, before, after)
+        workers = min(_cpu_count(), config.n_candidates + 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for i in range(config.n_iterations):
+                W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
+                                                 int(seeds[i]), pool, workers)
+                # one contiguous row per slice, projected as _apply_layer does
+                Yt = np.ascontiguousarray((Z @ W).T)
+                tables = [KnotTable([fit_marginal_transform(y[rows], config.n_knots)
+                                     for rows in bin_rows], config.derivative_floor)
+                          for y in Yt]
+                layer = GisLayer(weights=W, tables=tables)
+                Z, P = _apply_layer(layer, Z, plan)
+                after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
+                layers.append(layer)
+                progress.append((before, after))
+                if on_iteration is not None:
+                    on_iteration(i, before, after)
 
     return FlowModel(dim=d, shift=shift, scale=scale, binning=binning,
                      layers=layers, derivative_floor=config.derivative_floor,

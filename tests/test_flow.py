@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from overdensity import flow
 from overdensity.errors import ConfigError, FitError, InputError
-from overdensity.flow import FitConfig, FlowModel, fit_gis, load_model, save_model
+from overdensity.flow import (FitConfig, FlowModel, _random_orthonormal, fit_gis, load_model,
+                              save_model)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +176,40 @@ def test_fit_is_deterministic(rng):
                                 n_knots=16, n_candidates=8, rng_seed=6))
     assert not np.array_equal(a.log_density(probe_x, probe_m),
                               c.log_density(probe_x, probe_m))
+
+
+@pytest.mark.parametrize("n_candidates", [1, 16])
+def test_model_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_candidates):
+    # the fit scores its candidate frames in interleaved groups on a pool
+    # of one thread per CPU, capped at the number of candidates
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3000, 3)) ** 3
+    m = rng.uniform(size=3000)
+    cfg = FitConfig(n_iterations=3, n_slices=2, n_conditional_bins=3, n_knots=16,
+                    n_candidates=n_candidates, rng_seed=4)
+    fits = []
+    for workers in (1, 2, 3, n_candidates + 5):
+        monkeypatch.setattr(flow, "_cpu_count", lambda workers=workers: workers)
+        threads = threading.active_count()
+        model = fit_gis(x, m, cfg)
+        assert threading.active_count() == threads  # no pool thread outlives the fit
+        path = tmp_path / f"workers{workers}.txt"
+        save_model(model, str(path))
+        fits.append((path.read_bytes(), model.fit_progress))
+    assert all(fit == fits[0] for fit in fits[1:])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+@pytest.mark.parametrize("n, d, k", [(1, 1, 1), (5, 3, 2), (16, 4, 4), (64, 6, 3), (7, 5, 1)])
+def test_stacked_frames_match_the_per_frame_draw(seed, n, d, k):
+    frames = _random_orthonormal(np.random.default_rng(seed), n, d, k)
+    assert frames.shape == (n, d, k)
+    rng = np.random.default_rng(seed)
+    for frame in frames:
+        Q, R = np.linalg.qr(rng.standard_normal((d, k)))
+        sign = np.sign(np.diag(R))
+        sign[sign == 0] = 1.0
+        assert frame.tobytes() == (Q * sign).tobytes()
 
 
 def test_save_load_round_trip(gauss2d_model, tmp_path):
