@@ -55,8 +55,7 @@ def main() -> None:
     print(f"fit took {time.perf_counter() - t0:.1f}s")
 
     report = score_events(model, dataset.event_arrays(),
-                          ScoreConfig(sigma=250.0, thresholds=(1.5, 2.5, 5.0)),
-                          feature_names=FEATURE_NAMES)
+                          ScoreConfig(sigma=250.0, thresholds=(1.5, 2.5, 5.0)))
 
     # Step 1: which 100 GeV slice of the conditional axis looks most anomalous?
     rows = scan_profile(report, dataset.event_arrays(), bin_width=100.0)

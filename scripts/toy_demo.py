@@ -36,8 +36,7 @@ def main() -> None:
           f"{model.fit_progress[0][0]:.4f} -> {model.fit_progress[-1][1]:.4f}")
 
     report = score_events(model, dataset.event_arrays(),
-                          ScoreConfig(sigma=0.15, thresholds=(1.5, 2.5, 5.0)),
-                          feature_names=["m", "x1"])
+                          ScoreConfig(sigma=0.15, thresholds=(1.5, 2.5, 5.0)))
     is_signal = dataset.labels == 1
     print(f"median alpha (background) = "
           f"{np.median(report.alphas[~is_signal]):.3f}")

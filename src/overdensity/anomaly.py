@@ -11,16 +11,18 @@ points left out, so a bump localized at m does not contaminate its own
 background estimate.  Smooth backgrounds give alpha near 1 everywhere;
 a localized over-density pushes alpha above 1 only inside the bump.
 
-Each distinct (event, lo, hi, t) density row is evaluated once: an
-event's points past the first or last bin center, or clamped to the
-trained range, often share one row.
+Each distinct density row is evaluated once: the interpolation weights
+depend on m only through its clip to the first and last bin centers, so
+an event's points past either of them share one row.  score_events
+returns the scores and the events above each threshold; summarize
+describes a selection.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,8 +138,7 @@ class AnomalyReport:
     clamped: np.ndarray
     underflow: np.ndarray
     thresholds: tuple
-    selections: dict = field(default_factory=dict)
-    summaries: dict = field(default_factory=dict)
+    selections: dict
 
 
 def _event_arrays(events):
@@ -154,21 +155,24 @@ def _averaged_densities(model, X, m, quadratures):
     """Log kernel-averaged densities log sum_j w_j p(x | m + delta_j), one
     per (offsets, weights) quadrature, each with its clamp flag.
 
-    An event's rows at t = 0 in the same lo bin use that bin's maps alone,
-    so they have one density.  Each distinct row goes through one stacked
-    log_density pass, and its result is copied to the rows that repeat
-    it; a row's density does not depend on the other rows of its pass.
-    Each average is the log-sum-exp of log p_j + log w_j, so it stays
-    finite where every p_j underflows.  Its sum runs in offset order, so
-    results do not depend on the chunk size.
+    An event's rows with the same m clipped to the first and last bin
+    centers have the same interpolation weights, so they have one density.
+    Each distinct row goes through one stacked log_density pass, and its
+    result is copied to the rows that repeat it; a row's density does not
+    depend on the other rows of its pass.  Each average is the log-sum-exp
+    of log p_j + log w_j, so it stays finite where every p_j underflows.
+    Its sum runs in offset order, so results do not depend on the chunk
+    size.
     """
     offsets = np.concatenate([q[0] for q in quadratures])
     shifted = m[None, :] + offsets[:, None]
-    lo, _, t, clamped = model.binning.interp_weights(shifted)
+    centers = model.binning.centers
+    key = np.clip(shifted, centers[0], centers[-1])
+    clamped = model.binning.clamp(shifted)[1]
     point = np.arange(offsets.size)[:, None]
-    # mixed rows (t > 0) get a key of their own, which no other point has
-    key = np.where(t == 0, lo, -1 - point)
-    first = np.empty(key.shape, dtype=np.intp)  # the first point with the row's key
+    # the first point with the row's key; a NaN key equals none and keeps
+    # its own row, which log_density rejects
+    first = np.repeat(point, m.size, axis=1)
     for j in range(offsets.size - 1, -1, -1):
         first[key == key[j]] = j
     j, i = np.nonzero(first == point)
@@ -189,16 +193,18 @@ def _averaged_densities(model, X, m, quadratures):
 
 
 def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
-                 threads: int = 1, feature_names=None) -> AnomalyReport:
+                 threads: int = 1) -> AnomalyReport:
     """Score events; alpha = p_signal / p_background per event, computed
     as exp(log p_signal - log p_background).  An event whose densities
     underflow to 0 is flagged in underflow and keeps a finite ratio.
 
     Events are one (X, m) tuple: an (n, d) feature matrix and n conditionals.
     The report keeps each threshold once, in ascending order.  Work is
-    split into fixed-size chunks, so results are independent of the
-    thread count.
+    split into fixed-size chunks, which a pool of `threads` worker
+    threads scores, so results are independent of the thread count.
     """
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     config = config or ScoreConfig()
     config.validate()
     X, mv = _event_arrays(events)
@@ -207,19 +213,14 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
 
     quadratures = [config.signal_quadrature(), config.background_quadrature()]
 
-    def work(lo_row, hi_row):
+    def work(begin):
+        end = begin + _CHUNK_ROWS
         (log_sig, clamp_sig), (log_bg, clamp_bg) = _averaged_densities(
-            model, X[lo_row:hi_row], mv[lo_row:hi_row], quadratures)
+            model, X[begin:end], mv[begin:end], quadratures)
         return log_sig, log_bg, clamp_sig | clamp_bg
 
-    n = X.shape[0]
-    bounds = [(i, min(i + _CHUNK_ROWS, n)) for i in range(0, n, _CHUNK_ROWS)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: work(*b), bounds))
-    else:
-        parts = [work(*b) for b in bounds]
-
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(work, range(0, X.shape[0], _CHUNK_ROWS)))
     if not parts:
         parts = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))]
     log_sig, log_bg, clamped = (np.concatenate(column) for column in zip(*parts))
@@ -231,16 +232,9 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
         alphas = np.exp(log_sig - log_bg)
 
     thresholds = tuple(sorted(set(config.thresholds)))
-    report = AnomalyReport(alphas=alphas, p_signal=p_signal,
-                           p_background=p_background, clamped=clamped,
-                           underflow=underflow, thresholds=thresholds)
-    for thr in thresholds:
-        report.selections[thr] = np.flatnonzero(alphas > thr)
-    if feature_names is not None:
-        for thr in thresholds:
-            report.summaries[thr] = summarize((X, mv), report.selections[thr],
-                                              feature_names)
-    return report
+    return AnomalyReport(alphas=alphas, p_signal=p_signal, p_background=p_background,
+                         clamped=clamped, underflow=underflow, thresholds=thresholds,
+                         selections={thr: np.flatnonzero(alphas > thr) for thr in thresholds})
 
 
 def summarize(events, selection, feature_names) -> SelectionSummary:

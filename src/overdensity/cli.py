@@ -176,9 +176,7 @@ def cmd_features(args) -> int:
 
     matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 5))
     written = _atomic_write(args.out, lambda p: dataio.write_features(
-        p, ids, "m_jj", matrix[:, 0] if len(ids) else np.zeros(0),
-        ["m_j1", "dm", "tau21_1", "tau21_2"],
-        matrix[:, 1:] if len(ids) else np.zeros((0, 4))))
+        p, ids, "m_jj", matrix[:, 0], ["m_j1", "dm", "tau21_1", "tau21_2"], matrix[:, 1:]))
     dataio.write_manifest(f"{args.out}.manifest.json", {
         "command": "features",
         "version": VERSION,
@@ -249,10 +247,11 @@ _SCORE_SCHEMA = {
 }
 
 
-def _summary_text(report, names) -> str:
+def _summary_text(report, table) -> str:
+    names = [table.conditional_name, *table.feature_names]
     lines = []
     for thr in report.thresholds:
-        summary = report.summaries[thr]
+        summary = anomaly.summarize(table.event_arrays(), report.selections[thr], names)
         if summary.n_selected == 0:
             lines.append(f"alpha > {thr:g}: no events pass cut")
             continue
@@ -265,20 +264,14 @@ def _summary_text(report, names) -> str:
 
 def cmd_score(args) -> int:
     cfg = _resolve(args, _SCORE_SCHEMA)
-    if cfg["threads"] < 1:
-        raise ConfigError("threads must be at least 1")
     model = load_model(args.model)
     table = dataio.read_features(args.features)
-    if table.n_events and table.features.shape[1] != model.dim:
-        raise ConfigError(f"model expects {model.dim} features but "
-                          f"{args.features} has {table.features.shape[1]}")
     score_cfg = anomaly.ScoreConfig(sigma=cfg["sigma"], n_quad=cfg["n_quad"],
                                     exclusion_halfwidth=cfg["exclusion"],
                                     thresholds=tuple(cfg["thresholds"]),
                                     signal_sigma=cfg["signal_sigma"])
-    names = [table.conditional_name, *table.feature_names]
     report = anomaly.score_events(model, table.event_arrays(), score_cfg,
-                                  threads=cfg["threads"], feature_names=names)
+                                  threads=cfg["threads"])
 
     # before any output, as scan_profile rejects a bad scan_bin_width
     scan_rows = anomaly.scan_profile(report, table.event_arrays(), cfg["scan_bin_width"])
@@ -290,7 +283,7 @@ def cmd_score(args) -> int:
         p, table.event_ids, table.conditionals, report))
     n_scan = _atomic_write(scan_path, lambda p: dataio.write_scan(p, scan_rows))
     if table.n_events:
-        text = _summary_text(report, names)
+        text = _summary_text(report, table)
     else:
         text = "no events to score\n"
     _atomic_write(summary_path, lambda p: Path(p).write_text(text))  # closes the file

@@ -59,6 +59,8 @@ class ConditionalBinning:
 
         The effective transform at m is (1 - t) * bin[lo] + t * bin[hi];
         t is exactly 0.0 at bin centers and outside the center range.
+        lo, hi and t depend on m only through np.clip(m, centers[0],
+        centers[-1]), bit for bit; clamped is clamp(m)'s flag.
         """
         mc, clamped = self.clamp(m)
         c = self.centers

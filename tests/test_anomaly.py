@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +111,20 @@ def test_thread_count_does_not_change_results(toy_model, toy_dataset):
     assert np.array_equal(a.p_background, b.p_background)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_thread_count_below_one_is_a_config_error(toy_model, toy_dataset, threads):
+    with pytest.raises(ConfigError, match="threads"):
+        score_events(toy_model, toy_dataset.event_arrays(), threads=threads)
+
+
+def test_scoring_leaves_no_pool_thread_behind(toy_model, toy_dataset, monkeypatch):
+    X, m = toy_dataset.event_arrays()
+    monkeypatch.setattr(anomaly, "_CHUNK_ROWS", 10)  # ten chunks for three workers
+    before = threading.active_count()
+    score_events(toy_model, (X[:100], m[:100]), ScoreConfig(sigma=0.15), threads=3)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("signal_sigma", [None, 0.02])
 def test_chunk_size_does_not_change_results(toy_model, toy_dataset, monkeypatch,
                                              signal_sigma):
@@ -192,6 +208,17 @@ def test_underflow_far_outside_support(toy_model):
     assert report.underflow.all()
     assert np.all(np.isfinite(report.alphas))
     assert report.selections[1.5].size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_conditional_is_an_input_error(toy_model, toy_dataset, bad):
+    # a NaN conditional has a dedupe key equal to no other, an infinite one
+    # shares the key of the event's points past the last bin center
+    X, m = toy_dataset.event_arrays()
+    m = m[:5].copy()
+    m[2] = bad
+    with pytest.raises(InputError, match="finite"):
+        score_events(toy_model, (X[:5], m), ScoreConfig(sigma=0.15))
 
 
 def test_signal_smoothing_changes_the_numerator(toy_model, toy_dataset):

@@ -93,10 +93,19 @@ def test_score_threads_do_not_change_output(pipeline_dir, tmp_path):
                  "--model", str(pipeline_dir / "model.txt"), "--out-dir", str(out),
                  "--sigma", "0.15", "--scan-bin-width", "0.25",
                  "--threads", "3"]) == 0
-    assert file_sha256(str(out / "scores.csv")) == file_sha256(
-        str(pipeline_dir / "scores" / "scores.csv"))
-    assert file_sha256(str(out / "scan.csv")) == file_sha256(
-        str(pipeline_dir / "scores" / "scan.csv"))
+    for name in ("scores.csv", "scan.csv", "summary.txt"):
+        assert file_sha256(str(out / name)) == file_sha256(
+            str(pipeline_dir / "scores" / name)), name
+
+
+def test_thread_count_below_one_exits_2(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "scores"
+    code = main(["score", "--features", str(pipeline_dir / "data" / "features.csv"),
+                 "--model", str(pipeline_dir / "model.txt"), "--out-dir", str(out),
+                 "--threads", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: threads")
+    assert not out.exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

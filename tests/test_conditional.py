@@ -111,6 +111,20 @@ def test_interp_weights_are_convex(samples, m):
     assert lo <= hi <= lo + 1
 
 
+@given(values, st.integers(min_value=2, max_value=8),
+       st.lists(st.floats(min_value=-1.2e4, max_value=1.2e4), max_size=20))
+def test_interp_weights_depend_on_m_only_through_the_center_clip(samples, n_bins, ms):
+    # scoring dedupes its density rows on this clip
+    m = np.asarray(samples)
+    b = build_binning(m, 2 if m.size // n_bins < 2 else n_bins)
+    c = b.centers
+    m = np.concatenate([ms, c, b.edges, [c[0] - 1.0, c[-1] + 1.0, -np.inf, np.inf]])
+    got = b.interp_weights(m)[:3]
+    want = b.interp_weights(np.clip(m, c[0], c[-1]))[:3]
+    for a, w in zip(got, want):
+        assert a.tobytes() == w.tobytes()
+
+
 def test_transform_is_continuous_in_m(rng):
     # crossing a bin center must not jump the output
     m_train = rng.uniform(0.0, 1.0, 4000)
