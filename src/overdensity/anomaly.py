@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .flow import FlowModel
+from .flow import FlowModel, event_batch
 
 # Events per scoring chunk, fixed so results never depend on the thread
 # count.  Each chunk is one log_density pass over every (point, event) row,
@@ -141,16 +141,6 @@ class AnomalyReport:
     selections: dict
 
 
-def _event_arrays(events):
-    X = np.asarray(events[0], dtype=float)
-    m = np.asarray(events[1], dtype=float).ravel()
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != m.size:
-        raise InputError("one conditional value per event is required")
-    return X, m
-
-
 def _averaged_densities(model, X, m, quadratures):
     """Log kernel-averaged densities log sum_j w_j p(x | m + delta_j), one
     per (offsets, weights) quadrature, each with its clamp flag.
@@ -170,8 +160,7 @@ def _averaged_densities(model, X, m, quadratures):
     key = np.clip(shifted, centers[0], centers[-1])
     clamped = model.binning.clamp(shifted)[1]
     point = np.arange(offsets.size)[:, None]
-    # the first point with the row's key; a NaN key equals none and keeps
-    # its own row, which log_density rejects
+    # the first point with the row's key
     first = np.repeat(point, m.size, axis=1)
     for j in range(offsets.size - 1, -1, -1):
         first[key == key[j]] = j
@@ -198,7 +187,8 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
     as exp(log p_signal - log p_background).  An event whose densities
     underflow to 0 is flagged in underflow and keeps a finite ratio.
 
-    Events are one (X, m) tuple: an (n, d) feature matrix and n conditionals.
+    Events are one (X, m) tuple, read by flow.event_batch: n feature
+    rows (a 1-D X is n events of one feature) and n finite conditionals.
     The report keeps each threshold once, in ascending order.  Work is
     split into fixed-size chunks, which a pool of `threads` worker
     threads scores, so results are independent of the thread count.
@@ -207,7 +197,7 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
         raise ConfigError("threads must be at least 1")
     config = config or ScoreConfig()
     config.validate()
-    X, mv = _event_arrays(events)
+    X, mv = event_batch(*events)
     if X.shape[0] and X.shape[1] != model.dim:
         raise ConfigError(f"model expects {model.dim} features, events have {X.shape[1]}")
 
@@ -245,8 +235,8 @@ def summarize(events, selection, feature_names) -> SelectionSummary:
     "no events pass cut"; a single event is flagged degenerate with
     std = 0.
     """
-    X, mv = _event_arrays(events)
-    cols = np.column_stack([mv, X]) if X.shape[1] else mv.reshape(-1, 1)
+    X, mv = event_batch(*events)
+    cols = np.column_stack([mv, X])
     if len(feature_names) != cols.shape[1]:
         raise InputError(f"expected {cols.shape[1]} feature names")
     sel = np.asarray(selection, dtype=int)
@@ -270,7 +260,7 @@ def scan_profile(report: AnomalyReport, events, bin_width: float):
     count, max alpha and 99th-percentile alpha (None when empty)."""
     if not 0 < bin_width < math.inf:
         raise ConfigError("scan_bin_width must be positive and finite")
-    _, mv = _event_arrays(events)
+    _, mv = event_batch(*events)
     if mv.size == 0:
         return []
     if mv.size != report.alphas.size:

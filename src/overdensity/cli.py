@@ -375,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "thresholds", None) is not None:
-        args.thresholds = tuple(args.thresholds)
     try:
         return args.func(args)
     except (InputError, FitError) as exc:

@@ -37,6 +37,25 @@ MODEL_FORMAT_HEADER = "GISFLOW v1"
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def event_batch(x, m):
+    """The (n, d) float feature matrix and n conditionals of a batch.
+
+    Fit, the flow maps and scoring all take feature rows with one
+    conditional each: a 1-D x is n rows of one feature, and m is
+    flattened, so a scalar m is a one-row batch.  Raises InputError
+    unless there is one conditional per row and every value is finite.
+    """
+    X = np.asarray(x, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    mv = np.asarray(m, dtype=float).ravel()
+    if X.ndim != 2 or X.shape[0] != mv.size:
+        raise InputError("features must be (n, d) rows with one conditional per row")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(mv))):
+        raise InputError("features and conditionals must be finite")
+    return X, mv
+
+
 @dataclass
 class FitConfig:
     """Hyperparameters for fitting the flow.
@@ -107,7 +126,12 @@ def _apply_layer(layer: GisLayer, Z, plan: InterpPlan, log_det=None):
 
 @dataclass
 class FlowModel:
-    """Fitted conditional flow: standardization, binning, layers."""
+    """Fitted conditional flow: standardization, binning, layers.
+
+    forward, inverse and log_density take a batch as event_batch reads
+    it, with d = dim, and always return arrays: one row or one value per
+    batch row.
+    """
 
     dim: int
     shift: np.ndarray
@@ -120,19 +144,10 @@ class FlowModel:
     # -- helpers ------------------------------------------------------------
 
     def _as_batch(self, x, m):
-        X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.ndim != 2 or X.shape[1] != self.dim:
+        X, mv = event_batch(x, m)
+        if X.shape[1] != self.dim:
             raise InputError(f"expected feature vectors of dimension {self.dim}")
-        mv = np.asarray(m, dtype=float)
-        if mv.ndim == 0:
-            mv = np.full(X.shape[0], float(mv))
-        if mv.shape != (X.shape[0],):
-            raise InputError("conditional values must match the number of rows")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(mv))):
-            raise InputError("features and conditionals must be finite")
-        return X, mv, single
+        return X, mv
 
     # -- core maps ----------------------------------------------------------
 
@@ -142,22 +157,18 @@ class FlowModel:
         Each row maps on its own, so the pass runs over the rows in
         plan order and puts them back at the end.
         """
-        X, mv, single = self._as_batch(x, m)
+        X, mv = self._as_batch(x, m)
         lo, hi, t, _ = self.binning.interp_weights(mv)
         plan = InterpPlan(lo, hi, t)
         Z = (X[plan.order] - self.shift) / self.scale
         log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         for layer in self.layers:
             Z, _ = _apply_layer(layer, Z, plan, log_det)
-        Z, log_det = plan.restore(Z), plan.restore(log_det)
-        if single:
-            return Z[0], float(log_det[0])
-        return Z, log_det
+        return plan.restore(Z), plan.restore(log_det)
 
     def inverse(self, z, m):
         """Map latent vectors back to data space."""
-        Z, mv, single = self._as_batch(z, m)
-        X = Z.copy()
+        X, mv = self._as_batch(z, m)
         lo, hi, t, _ = self.binning.interp_weights(mv)
         for layer in reversed(self.layers):
             W = layer.weights
@@ -166,10 +177,7 @@ class FlowModel:
             for k in range(W.shape[1]):
                 Y_in[:, k] = interpolated_inverse(layer.tables[k], lo, hi, t, Y_out[:, k])
             X = X + (Y_in - Y_out) @ W.T
-        X = X * self.scale + self.shift
-        if single:
-            return X[0]
-        return X
+        return X * self.scale + self.shift
 
     def log_density(self, x, m):
         """Conditional log density log p(x | m).
@@ -179,10 +187,7 @@ class FlowModel:
         are evaluated at the clamped edge.
         """
         Z, log_det = self.forward(x, m)  # which checks x and m
-        logp = -0.5 * np.sum(Z * Z, axis=-1) - 0.5 * self.dim * _LOG_2PI + log_det
-        if Z.ndim == 1:  # a single point
-            return float(logp)
-        return logp
+        return -0.5 * np.sum(Z * Z, axis=1) - 0.5 * self.dim * _LOG_2PI + log_det
 
 
 # -- slice selection ----------------------------------------------------------
@@ -265,14 +270,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     """
     if config is None:
         config = FitConfig()
-    X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    m = np.asarray(conditionals, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != m.size:
-        raise InputError("data must be (n, d) with one conditional per row")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(m))):
-        raise InputError("data and conditionals must be finite")
+    X, m = event_batch(data, conditionals)
     n, d = X.shape
     config.validate(d)
     k_slices = config.resolve_slices(d)

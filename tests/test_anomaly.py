@@ -211,14 +211,22 @@ def test_underflow_far_outside_support(toy_model):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_conditional_is_an_input_error(toy_model, toy_dataset, bad):
-    # a NaN conditional has a dedupe key equal to no other, an infinite one
-    # shares the key of the event's points past the last bin center
+@pytest.mark.parametrize("call", ["score_events", "scan_profile", "summarize"])
+def test_non_finite_conditional_is_an_input_error(toy_model, toy_dataset, call, bad):
+    # each checks the batch before it uses m: a NaN conditional has a
+    # dedupe key equal to no other, and would number no scan bin
     X, m = toy_dataset.event_arrays()
-    m = m[:5].copy()
+    X, m = X[:5], m[:5].copy()
+    cfg = ScoreConfig(sigma=0.15)
+    report = score_events(toy_model, (X, m), cfg)
     m[2] = bad
+    calls = {
+        "score_events": lambda: score_events(toy_model, (X, m), cfg),
+        "scan_profile": lambda: scan_profile(report, (X, m), 0.1),
+        "summarize": lambda: summarize((X, m), np.arange(5), ["m", "x"]),
+    }
     with pytest.raises(InputError, match="finite"):
-        score_events(toy_model, (X[:5], m), ScoreConfig(sigma=0.15))
+        calls[call]()
 
 
 def test_signal_smoothing_changes_the_numerator(toy_model, toy_dataset):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from overdensity import flow
+from overdensity.anomaly import ScoreConfig, score_events
 from overdensity.errors import ConfigError, FitError, InputError
 from overdensity.flow import (FitConfig, FlowModel, _random_orthonormal, fit_gis, load_model,
                               save_model)
@@ -108,6 +109,27 @@ def test_density_tracks_the_conditional(toy_model):
     on_ridge = toy_model.log_density(x, np.array([0.2]))[0]
     off_ridge = toy_model.log_density(x, np.array([0.9]))[0]
     assert on_ridge - off_ridge > 0.05
+
+
+def test_one_dimensional_features_are_rows_everywhere(toy_model, toy_dataset):
+    # fit, the maps and scoring read a 1-D x as n rows of one feature
+    x, m = toy_dataset.features[:300], toy_dataset.conditionals[:300]
+    assert x.shape == (300, 1)
+    z, log_det = toy_model.forward(x, m)
+    z1, log_det1 = toy_model.forward(x[:, 0], m)
+    assert z1.tobytes() == z.tobytes() and log_det1.tobytes() == log_det.tobytes()
+    assert toy_model.inverse(z[:, 0], m).tobytes() == toy_model.inverse(z, m).tobytes()
+    assert (toy_model.log_density(x[:, 0], m).tobytes()
+            == toy_model.log_density(x, m).tobytes())
+    cfg = ScoreConfig(sigma=0.15)
+    assert (score_events(toy_model, (x[:, 0], m), cfg).alphas.tobytes()
+            == score_events(toy_model, (x, m), cfg).alphas.tobytes())
+    # one row is a batch of one, with a scalar conditional too
+    z_one, log_det_one = toy_model.forward(x[:1, 0], m[0])
+    assert z_one.shape == (1, 1) and log_det_one.shape == (1,)
+    assert toy_model.inverse(z[:1, 0], m[0]).shape == (1, 1)
+    assert toy_model.log_density(x[:1, 0], m[0]).shape == (1,)
+    assert toy_model.log_density(x[:1, 0], m[0])[0] == toy_model.log_density(x, m)[0]
 
 
 def test_fit_progress_improves_each_iteration(toy_model):
