@@ -2,7 +2,10 @@
 
 Every command writes a manifest (resolved config, seed, input hashes, row
 counts) next to its outputs; given the same inputs, config and seed the
-outputs are byte-identical, independent of --threads.
+outputs are byte-identical, independent of --threads and of the number of
+CPUs (fit's slice search and features' worker processes use every CPU the
+process may run on).  That holds on one machine: another CPU or BLAS
+kernel can change the last bits of models and synthetic features.
 
 Exit codes: 0 success, 1 input error, 2 config error.
 """
@@ -12,12 +15,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
+from contextlib import closing
+from functools import partial
 from importlib import metadata
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, dataio, jets, synth
+from . import anomaly, dataio, flow, jets, synth
 from .errors import ConfigError, FitError, InputError
 from .flow import FitConfig, fit_gis, load_model, save_model
 
@@ -145,6 +152,62 @@ def cmd_synth(args) -> int:
 # -- features ------------------------------------------------------------------
 
 
+# events sent to a features worker at a time
+_FEATURE_BLOCK = 8
+
+
+def _block_features(block, radius, eta_max):
+    """(event_id, particle count, feature row or rejection reason) for each
+    event of a block of (event_id, pack_particles values): the task of a
+    features worker."""
+    out = []
+    for event_id, values in block:
+        particles = jets.unpack_particles(values)
+        try:
+            row = jets.extract_features(particles, R=radius, eta_max=eta_max).to_row()
+        except jets.EventRejected as exc:
+            row = exc.reason
+        out.append((event_id, len(particles), row))
+    return out
+
+
+def _map_in_order(fn, items, workers):
+    """Yield fn(item) for each item, in input order.
+
+    With more than one worker and more than one item, the calls run on a
+    pool of worker processes, with at most 2 * workers items in flight,
+    so memory does not grow with the input.  When items raises, the
+    pending calls are cancelled and every worker is joined before the
+    error goes on.  fn must be picklable: a module-level function or a
+    partial of one.
+    """
+    items = iter(items)
+    head = list(islice(items, 2))
+    if workers < 2 or len(head) < 2:
+        yield from map(fn, chain(head, items))
+        return
+    # imported here, not with the CLI: it costs milliseconds of start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork starts no resource-tracker or forkserver process that could
+    # outlive the command; the pool forks every worker at its first
+    # submit, before it starts a thread of its own
+    methods = multiprocessing.get_all_start_methods()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
+        "fork" if "fork" in methods else None))
+    pending = deque()
+    try:
+        for item in chain(head, items):
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cmd_features(args) -> int:
     window = None if args.no_window else tuple(args.window)
     if window is not None and not window[1] > window[0]:
@@ -154,25 +217,29 @@ def cmd_features(args) -> int:
     if not args.eta_max > 0:
         raise ConfigError("--eta-max must be positive")
 
+    # read and validated here, in file order, so the first bad row is the
+    # error whatever the number of workers
+    events = ((event_id, jets.pack_particles(particles))
+              for event_id, particles in dataio.read_particle_events(args.particles))
+    blocks = iter(lambda: list(islice(events, _FEATURE_BLOCK)), [])
+    task = partial(_block_features, radius=args.radius, eta_max=args.eta_max)
+
     ids = []
     rows = []
     counts = {"events_read": 0, "fewer_than_two_jets": 0,
               "tau21_undefined": 0, "outside_window": 0}
     n_particles = 0
-    for event_id, particles in dataio.read_particle_events(args.particles):
-        counts["events_read"] += 1
-        n_particles += len(particles)
-        try:
-            feats = jets.extract_features(particles, R=args.radius,
-                                          eta_max=args.eta_max)
-        except jets.EventRejected as exc:
-            counts[exc.reason] = counts.get(exc.reason, 0) + 1
-            continue
-        if window is not None and not (window[0] < feats.m_jj < window[1]):
-            counts["outside_window"] += 1
-            continue
-        ids.append(event_id)
-        rows.append(feats.to_row())
+    with closing(_map_in_order(task, blocks, flow._cpu_count())) as results:
+        for event_id, n, row in chain.from_iterable(results):
+            counts["events_read"] += 1
+            n_particles += n
+            if isinstance(row, str):
+                counts[row] = counts.get(row, 0) + 1
+            elif window is not None and not (window[0] < row[0] < window[1]):
+                counts["outside_window"] += 1
+            else:
+                ids.append(event_id)
+                rows.append(row)
 
     matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 5))
     written = _atomic_write(args.out, lambda p: dataio.write_features(

@@ -162,7 +162,8 @@ def write_labels(path, event_ids, labels) -> int:
 
 
 def read_particle_events(path):
-    """Yield (event_id, [Particle, ...]) for consecutive event_id groups."""
+    """Yield (event_id, [Particle, ...]) for consecutive event_id groups.
+    An event_id whose rows resume after another event's is an InputError."""
     from .jets import Particle
 
     reader = _csv_rows(path, "particles")
@@ -175,6 +176,7 @@ def read_particle_events(path):
                          f"{','.join(PARTICLE_COLUMNS)}[,mass]")
     width = 5 if has_mass else 4
     current_id = None
+    seen = set()
     particles = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -192,6 +194,10 @@ def read_particle_events(path):
         except InputError as exc:
             raise InputError(f"{path} line {line_no}: {exc}") from None
         if event_id != current_id:
+            if event_id in seen:
+                raise InputError(f"{path} line {line_no}: event_id {event_id!r} "
+                                 f"resumes after other events' rows")
+            seen.add(event_id)
             if current_id is not None:
                 yield current_id, particles
             current_id = event_id

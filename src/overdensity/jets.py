@@ -14,6 +14,7 @@ numpy calls - ample for events up to several hundred particles.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,26 @@ class Particle:
         pz = self.pt * math.sinh(self.eta)
         e = math.sqrt(px * px + py * py + pz * pz + self.mass * self.mass)
         return e, px, py, pz
+
+
+def pack_particles(particles) -> array:
+    """Each particle's (pt, eta, phi, mass), end to end: an event in the
+    form it is sent to a worker process."""
+    return array("d", [v for p in particles for v in (p.pt, p.eta, p.phi, p.mass)])
+
+
+def unpack_particles(values) -> list:
+    """The particles that pack_particles packed.  They are made as
+    unpickling makes them, without __post_init__: phi is wrapped already,
+    and the wrap is not idempotent (a phi just below -pi wraps to pi, and
+    pi to -pi)."""
+    values = values.tolist()
+    particles = []
+    for k in range(0, len(values), 4):
+        p = object.__new__(Particle)
+        p.pt, p.eta, p.phi, p.mass = values[k:k + 4]
+        particles.append(p)
+    return particles
 
 
 @dataclass
@@ -239,13 +260,29 @@ def invariant_mass_pair(jet1: Jet, jet2: Jet) -> float:
     return math.sqrt(m2) if m2 > 0 else 0.0
 
 
-def _exclusive_kt_axes(constituents, n_axes, R):
-    """(eta, phi) axes from kt-declustering the constituents to n_axes."""
-    cl = _Cluster(constituents, R, power=1)
-    while cl.n_alive > n_axes:
-        _, i, j = cl.min_pair()
-        cl.merge(i, j)
-    return [cl.axis_from_slot(i) for i in np.flatnonzero(cl.alive)]
+def _subjettiness(jet, counts, R):
+    """tau_n of the jet for each n in counts, largest first, or None when
+    the jet has fewer constituents than counts[0].  The axes come from one
+    exclusive-kt declustering: its run down to n - 1 subjets repeats every
+    merge of the run down to n."""
+    if not R > 0:
+        raise ConfigError("R must be positive")
+    consts = jet.constituents
+    if len(consts) < counts[0]:
+        return None
+    total_pt = sum(p.pt for p in consts)
+    cl = _Cluster(consts, R, power=1)
+    taus = []
+    for n_axes in counts:
+        while cl.n_alive > n_axes:
+            _, i, j = cl.min_pair()
+            cl.merge(i, j)
+        axes = [cl.axis_from_slot(i) for i in np.flatnonzero(cl.alive)]
+        acc = 0.0
+        for p in consts:
+            acc += p.pt * math.sqrt(min(_delta_r2(p.eta, p.phi, ae, ap) for ae, ap in axes))
+        taus.append(acc / (R * total_pt))
+    return taus
 
 
 def nsubjettiness(jet: Jet, n: int, R: float = 1.0):
@@ -256,25 +293,20 @@ def nsubjettiness(jet: Jet, n: int, R: float = 1.0):
     """
     if n < 1:
         raise InputError("n must be at least 1")
-    if not R > 0:
-        raise ConfigError("R must be positive")
-    consts = jet.constituents
-    if len(consts) < n:
-        return None
-    axes = _exclusive_kt_axes(consts, n, R)
-    total_pt = sum(p.pt for p in consts)
-    acc = 0.0
-    for p in consts:
-        acc += p.pt * math.sqrt(min(_delta_r2(p.eta, p.phi, ae, ap) for ae, ap in axes))
-    return acc / (R * total_pt)
+    taus = _subjettiness(jet, (n,), R)
+    return None if taus is None else taus[0]
 
 
 def tau21(jet: Jet, R: float = 1.0):
-    """tau_2 / tau_1 with the 0/0 -> 0 convention; None if undefined."""
-    t2 = nsubjettiness(jet, 2, R)
-    if t2 is None:
+    """tau_2 / tau_1 with the 0/0 -> 0 convention; None if undefined.
+
+    Both come from one kt declustering: its run down to 2 axes, then one
+    merge more.
+    """
+    taus = _subjettiness(jet, (2, 1), R)
+    if taus is None:
         return None
-    t1 = nsubjettiness(jet, 1, R)
+    t2, t1 = taus
     if t1 == 0.0:
         return 0.0
     return t2 / t1

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import overdensity
-from overdensity import cli, synth
+from overdensity import cli, flow, synth
 from overdensity.anomaly import ScoreConfig
 from overdensity.cli import main
 from overdensity.dataio import file_sha256
@@ -248,6 +249,82 @@ def test_features_command_window_and_rejections(tmp_path):
     assert lines[1].split(",")[0] == "ev_wide"
 
 
+def _write_particle_events(path, n_events, seed, bad_row_after=None):
+    """Random events of 2 to 60 particles, every fifth a single particle
+    (rejected).  With bad_row_after, a row of negative pt follows that
+    many events; its line number is returned."""
+    rng = np.random.default_rng(seed)
+    lines = ["event_id,pt,eta,phi,mass"]
+    bad_line = None
+    for i in range(n_events):
+        n = 1 if i % 5 == 4 else int(rng.integers(2, 61))
+        for pt, eta, phi in zip(*(rng.uniform(lo, hi, n).tolist()
+                                  for lo, hi in ((1.0, 200.0), (-2.0, 2.0), (-4.0, 4.0)))):
+            lines.append(f"ev{i},{pt!r},{eta!r},{phi!r},0.0")
+        if i + 1 == bad_row_after:
+            lines.append(f"ev{i},-1.0,0.0,0.0,0.0")
+            bad_line = len(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return bad_line
+
+
+def _features_with_workers(monkeypatch, workers, argv):
+    monkeypatch.setattr(flow, "_cpu_count", lambda: workers)
+    code = main(["features", *argv])
+    assert multiprocessing.active_children() == []  # every worker is joined
+    return code
+
+
+def test_features_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    # 45 events are six blocks, the last one short; 9 workers are more
+    # than blocks, so some of them are never handed one
+    particles = tmp_path / "particles.csv"
+    _write_particle_events(particles, 45, seed=3)
+    outputs = []
+    for workers in (1, 2, 9):
+        out = tmp_path / f"workers{workers}" / "features.csv"
+        out.parent.mkdir()
+        monkeypatch.chdir(out.parent)  # the manifest records the paths given
+        assert _features_with_workers(monkeypatch, workers, [
+            "--particles", str(particles), "--out", "features.csv", "--no-window"]) == 0
+        outputs.append((out.read_bytes(), (out.parent / "features.csv.manifest.json").read_bytes()))
+    assert all(o == outputs[0] for o in outputs[1:])
+    manifest = json.loads(outputs[0][1])
+    assert manifest["counts"]["events_read"] == 45
+    assert manifest["counts"]["fewer_than_two_jets"] >= 9
+    assert len(outputs[0][0].splitlines()) > 1 + 20
+
+
+def test_bad_particle_row_after_full_blocks_exits_1(monkeypatch, tmp_path, capsys):
+    # the parent reads every row, so the first bad one is the error for
+    # any number of workers, and no output is written
+    particles = tmp_path / "particles.csv"
+    bad_line = _write_particle_events(particles, 40, seed=4, bad_row_after=30)
+    errors = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert _features_with_workers(monkeypatch, workers, [
+            "--particles", str(particles), "--out", str(out), "--no-window"]) == 1
+        assert not out.exists()
+        assert not (tmp_path / f"workers{workers}.csv.manifest.json").exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"line {bad_line}: particle pt must be positive" in errors[0]
+
+
+def test_event_id_resuming_after_another_event_exits_1(tmp_path, capsys):
+    particles = tmp_path / "particles.csv"
+    particles.write_text("event_id,pt,eta,phi\n"
+                         "a,300.0,0.0,0.0\n"
+                         "b,280.0,0.4,3.0\n"
+                         "a,90.0,0.3,0.2\n")
+    out = tmp_path / "features.csv"
+    assert main(["features", "--particles", str(particles), "--out", str(out),
+                 "--no-window"]) == 1
+    assert "line 4: event_id 'a' resumes after other events' rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_lhc_writes_resonance_config(tmp_path):
     out = tmp_path / "lhc"
     assert main(["synth", "lhc", "--out-dir", str(out), "--n-background", "500",
@@ -347,6 +424,14 @@ def test_cli_import_leaves_scipy_out():
     done = _run_python("import sys, overdensity.cli; "
                        "print(sorted(m for m in sys.modules "
                        "if m == 'scipy' or m.startswith('scipy.')))")
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_process_pools_out():
+    # multiprocessing costs milliseconds of start-up; only features uses it
+    done = _run_python("import sys, overdensity.cli; "
+                       "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
+                       "or m == 'concurrent.futures.process'))")
     assert done.stdout.strip() == "[]"
 
 

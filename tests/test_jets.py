@@ -14,7 +14,9 @@ from overdensity.jets import (
     filter_jets,
     invariant_mass_pair,
     nsubjettiness,
+    pack_particles,
     tau21,
+    unpack_particles,
     wrap_phi,
 )
 from reference_clustering import (
@@ -236,8 +238,21 @@ def test_clusterer_matches_matrix_oracle_bit_for_bit(n, R, ties, seed):
     for jet, ref in zip(jets, oracle):
         for k in (1, 2, 3):
             assert nsubjettiness(jet, k, R) == matrix_nsubjettiness(ref, k, R)
+        # tau21 takes both axes sets from one kt declustering
+        t1, t2 = nsubjettiness(jet, 1, R), nsubjettiness(jet, 2, R)
+        assert tau21(jet, R) == (None if t2 is None else 0.0 if t1 == 0.0 else t2 / t1)
     assert _features_or_reason(extract_features, particles, R) == \
         _features_or_reason(matrix_extract_features, particles, R)
+
+
+def test_unpacked_particles_keep_their_wrapped_phi():
+    # a phi just below -pi wraps to pi, and a second wrap would give -pi
+    below = math.nextafter(-math.pi, -math.inf)
+    particles = [Particle(pt=5.0, eta=0.5, phi=below, mass=0.1),
+                 Particle(pt=2.0, eta=-1.0, phi=0.2)]
+    assert particles[0].phi == math.pi
+    assert Particle(pt=5.0, eta=0.5, phi=math.pi).phi == -math.pi
+    assert unpack_particles(pack_particles(particles)) == particles
 
 
 def test_zero_pt_pseudojet_is_promoted_once():
