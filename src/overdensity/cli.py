@@ -158,11 +158,11 @@ _FEATURE_BLOCK = 8
 
 def _block_features(block, radius, eta_max):
     """(event_id, particle count, feature row or rejection reason) for each
-    event of a block of (event_id, pack_particles values): the task of a
-    features worker."""
+    event of a block of (event_id, rows) from dataio.read_particle_events:
+    the task of a features worker."""
     out = []
-    for event_id, values in block:
-        particles = jets.unpack_particles(values)
+    for event_id, rows in block:
+        particles = [jets.Particle(*row) for row in rows.tolist()]
         try:
             row = jets.extract_features(particles, R=radius, eta_max=eta_max).to_row()
         except jets.EventRejected as exc:
@@ -219,8 +219,7 @@ def cmd_features(args) -> int:
 
     # read and validated here, in file order, so the first bad row is the
     # error whatever the number of workers
-    events = ((event_id, jets.pack_particles(particles))
-              for event_id, particles in dataio.read_particle_events(args.particles))
+    events = dataio.read_particle_events(args.particles)
     blocks = iter(lambda: list(islice(events, _FEATURE_BLOCK)), [])
     task = partial(_block_features, radius=args.radius, eta_max=args.eta_max)
 

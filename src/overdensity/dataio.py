@@ -3,7 +3,9 @@
 Formats (all comma-separated with a header row):
 
 * particles: event_id,pt,eta,phi[,mass] - rows of one event are
-  consecutive; mass defaults to 0 when the column is absent.
+  consecutive; mass defaults to 0 when the column is absent.  An event is
+  read as an (n, 4) float array of pt, eta, phi and mass, checked row by
+  row and with phi as written.
 * features:  event_id,<conditional>,<feature...> - first data column is
   the conditional (m_jj for dijet data), the rest are model features.
 * labels:    event_id,is_signal - kept separate from features.
@@ -28,6 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError
+from .jets import check_particle
 
 PARTICLE_COLUMNS = ("event_id", "pt", "eta", "phi")
 LABEL_COLUMNS = ("event_id", "is_signal")
@@ -71,16 +74,24 @@ def _number_rows(text, *columns):
                        *(map(repr, c[start:stop].tolist()) for c in columns))
 
 
-def _parse_float(token, path, line_no, column):
+def _float_cells(cells, columns, path, line_no) -> list:
+    """A row's numeric cells as floats.  A cell that is not a finite
+    number raises InputError naming the first such cell; only a row that
+    fails is checked cell by cell."""
     try:
-        value = float(token)
+        values = list(map(float, cells))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise InputError(f"{path} line {line_no}, column '{column}': "
-                         f"not a number: {token!r}") from None
-    if not math.isfinite(value):
-        raise InputError(f"{path} line {line_no}, column '{column}': "
-                         f"non-finite value {token!r}")
-    return value
+        pass
+    for token, column in zip(cells, columns):
+        where = f"{path} line {line_no}, column '{column}'"
+        try:
+            value = float(token)
+        except ValueError:
+            raise InputError(f"{where}: not a number: {token!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"{where}: non-finite value {token!r}")
 
 
 def _csv_rows(path, kind):
@@ -139,16 +150,8 @@ def read_features(path) -> FeatureTable:
         if len(row) != len(header):
             raise InputError(f"{path} line {line_no}: expected {len(header)} "
                              f"columns, got {len(row)}")
-        try:
-            cells = list(map(float, row[1:]))
-        except ValueError:
-            cells = None
-        if cells is None or not all(map(math.isfinite, cells)):
-            # raises, naming the first bad cell
-            for token, name in zip(row[1:], header[1:]):
-                _parse_float(token, path, line_no, name)
         ids.append(row[0])
-        values.extend(cells)
+        values.extend(_float_cells(row[1:], header[1:], path, line_no))
     table = np.frombuffer(values, dtype=float).reshape(-1, len(header) - 1)
     return FeatureTable(event_ids=ids, conditional_name=header[1],
                         conditionals=table[:, 0].copy(), feature_names=header[2:],
@@ -161,11 +164,20 @@ def write_labels(path, event_ids, labels) -> int:
     return len(event_ids)
 
 
-def read_particle_events(path):
-    """Yield (event_id, [Particle, ...]) for consecutive event_id groups.
-    An event_id whose rows resume after another event's is an InputError."""
-    from .jets import Particle
+def _particle_rows(values) -> np.ndarray:
+    return np.frombuffer(values, dtype=float).reshape(-1, 4)
 
+
+def read_particle_events(path):
+    """Yield (event_id, rows) for consecutive event_id groups.
+
+    rows is an (n, 4) float array of each particle's pt, eta, phi and
+    mass as read: phi is not wrapped (jets.Particle wraps it), and mass
+    is 0.0 when the file has no mass column.  Every row is checked here,
+    in file order: a cell that is not a finite number, a row that breaks
+    jets.check_particle, or an event_id whose rows resume after another
+    event's is an InputError naming its line.
+    """
     reader = _csv_rows(path, "particles")
     header = next(reader, None)
     if header is None:
@@ -174,10 +186,10 @@ def read_particle_events(path):
     if not has_mass and tuple(header) != PARTICLE_COLUMNS:
         raise InputError(f"{path}: expected header "
                          f"{','.join(PARTICLE_COLUMNS)}[,mass]")
-    width = 5 if has_mass else 4
+    width = len(header)
     current_id = None
     seen = set()
-    particles = []
+    values = array("d")  # the current event's rows, end to end
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -185,12 +197,11 @@ def read_particle_events(path):
             raise InputError(f"{path} line {line_no}: expected {width} columns, "
                              f"got {len(row)}")
         event_id = row[0]
-        pt = _parse_float(row[1], path, line_no, "pt")
-        eta = _parse_float(row[2], path, line_no, "eta")
-        phi = _parse_float(row[3], path, line_no, "phi")
-        mass = _parse_float(row[4], path, line_no, "mass") if has_mass else 0.0
+        cells = _float_cells(row[1:], header[1:], path, line_no)
+        if not has_mass:
+            cells.append(0.0)
         try:
-            particle = Particle(pt=pt, eta=eta, phi=phi, mass=mass)
+            check_particle(*cells)
         except InputError as exc:
             raise InputError(f"{path} line {line_no}: {exc}") from None
         if event_id != current_id:
@@ -199,12 +210,12 @@ def read_particle_events(path):
                                  f"resumes after other events' rows")
             seen.add(event_id)
             if current_id is not None:
-                yield current_id, particles
+                yield current_id, _particle_rows(values)
             current_id = event_id
-            particles = []
-        particles.append(particle)
+            values = array("d")
+        values.extend(cells)
     if current_id is not None:
-        yield current_id, particles
+        yield current_id, _particle_rows(values)
 
 
 def write_scores(path, event_ids, conditionals, report) -> int:

@@ -14,7 +14,6 @@ numpy calls - ample for events up to several hundred particles.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +30,29 @@ def wrap_phi(phi):
     return (phi + math.pi) % _TWO_PI - math.pi
 
 
+def check_particle(pt, eta, phi, mass):
+    """Raise InputError unless (pt, eta, phi, mass) is a particle the
+    clusterer can take: every value finite, pt > 0, mass >= 0, and
+    pz = pt * sinh(eta) a finite double."""
+    if not (math.isfinite(pt) and math.isfinite(eta)
+            and math.isfinite(phi) and math.isfinite(mass)):
+        raise InputError("particle kinematics must be finite")
+    if pt <= 0:
+        raise InputError("particle pt must be positive")
+    if mass < 0:
+        raise InputError("particle mass must be non-negative")
+    try:
+        pz = pt * math.sinh(eta)
+    except OverflowError:
+        pz = math.inf
+    if not math.isfinite(pz):
+        raise InputError("particle |eta| too large: pt * sinh(eta) overflows")
+
+
 @dataclass
 class Particle:
-    """Massless-by-default input particle in (pt, eta, phi[, mass])."""
+    """Massless-by-default input particle in (pt, eta, phi[, mass]); phi
+    is wrapped to [-pi, pi) on construction."""
 
     pt: float
     eta: float
@@ -41,13 +60,7 @@ class Particle:
     mass: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.pt) and math.isfinite(self.eta)
-                and math.isfinite(self.phi) and math.isfinite(self.mass)):
-            raise InputError("particle kinematics must be finite")
-        if self.pt <= 0:
-            raise InputError("particle pt must be positive")
-        if self.mass < 0:
-            raise InputError("particle mass must be non-negative")
+        check_particle(self.pt, self.eta, self.phi, self.mass)
         self.phi = wrap_phi(self.phi)
 
     def four_momentum(self):
@@ -56,26 +69,6 @@ class Particle:
         pz = self.pt * math.sinh(self.eta)
         e = math.sqrt(px * px + py * py + pz * pz + self.mass * self.mass)
         return e, px, py, pz
-
-
-def pack_particles(particles) -> array:
-    """Each particle's (pt, eta, phi, mass), end to end: an event in the
-    form it is sent to a worker process."""
-    return array("d", [v for p in particles for v in (p.pt, p.eta, p.phi, p.mass)])
-
-
-def unpack_particles(values) -> list:
-    """The particles that pack_particles packed.  They are made as
-    unpickling makes them, without __post_init__: phi is wrapped already,
-    and the wrap is not idempotent (a phi just below -pi wraps to pi, and
-    pi to -pi)."""
-    values = values.tolist()
-    particles = []
-    for k in range(0, len(values), 4):
-        p = object.__new__(Particle)
-        p.pt, p.eta, p.phi, p.mass = values[k:k + 4]
-        particles.append(p)
-    return particles
 
 
 @dataclass

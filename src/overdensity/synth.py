@@ -5,8 +5,8 @@ Two generators:
 * generate_toy - low-dimensional testbed: uniform conditional m, Gaussian
   background x drifting linearly with m, plus a compact Gaussian signal
   blob sitting on the background ridge (an in-distribution over-density,
-  invisible to plain density cuts).  The analytic background density is
-  exposed for oracle checks.
+  invisible to plain density cuts).  ToyConfig.mean is the background
+  ridge, so the background density is known in closed form.
 
 * generate_lhc_like - a dijet-shaped benchmark: steeply falling m_jj
   spectrum on [2250, 4750], smooth jet-mass / mass-splitting / tau21
@@ -110,17 +110,6 @@ class ToyConfig:
         if self.signal_x is not None:
             return np.asarray(self.signal_x, dtype=float)
         return self.mean(self.signal_m)
-
-    def background_density(self, x, m):
-        """Analytic conditional background density p(x | m)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mu = np.atleast_2d(self.mean(m))
-        sig = np.asarray(self.sigma)
-        z = (x - mu) / sig
-        logp = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(sig)) \
-            - 0.5 * self.dim * np.log(2.0 * np.pi)
-        p = np.exp(logp)
-        return float(p[0]) if p.size == 1 else p
 
 
 def generate_toy(config: ToyConfig | None = None, seed: int = 0) -> LabeledDataset:

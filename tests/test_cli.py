@@ -13,8 +13,9 @@ import overdensity
 from overdensity import cli, flow, synth
 from overdensity.anomaly import ScoreConfig
 from overdensity.cli import main
-from overdensity.dataio import file_sha256
+from overdensity.dataio import file_sha256, read_features
 from overdensity.flow import FitConfig, load_model
+from overdensity.jets import Particle, extract_features
 
 
 @pytest.fixture(scope="module")
@@ -249,10 +250,11 @@ def test_features_command_window_and_rejections(tmp_path):
     assert lines[1].split(",")[0] == "ev_wide"
 
 
-def _write_particle_events(path, n_events, seed, bad_row_after=None):
+def _write_particle_events(path, n_events, seed, bad_row_after=None,
+                           bad_row="-1.0,0.0,0.0,0.0"):
     """Random events of 2 to 60 particles, every fifth a single particle
-    (rejected).  With bad_row_after, a row of negative pt follows that
-    many events; its line number is returned."""
+    (rejected).  With bad_row_after, bad_row (pt,eta,phi,mass; negative pt
+    by default) follows that many events; its line number is returned."""
     rng = np.random.default_rng(seed)
     lines = ["event_id,pt,eta,phi,mass"]
     bad_line = None
@@ -262,7 +264,7 @@ def _write_particle_events(path, n_events, seed, bad_row_after=None):
                                   for lo, hi in ((1.0, 200.0), (-2.0, 2.0), (-4.0, 4.0)))):
             lines.append(f"ev{i},{pt!r},{eta!r},{phi!r},0.0")
         if i + 1 == bad_row_after:
-            lines.append(f"ev{i},-1.0,0.0,0.0,0.0")
+            lines.append(f"ev{i},{bad_row}")
             bad_line = len(lines)
     path.write_text("\n".join(lines) + "\n")
     return bad_line
@@ -310,6 +312,49 @@ def test_bad_particle_row_after_full_blocks_exits_1(monkeypatch, tmp_path, capsy
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert f"line {bad_line}: particle pt must be positive" in errors[0]
+
+
+@pytest.mark.parametrize("eta", [800.0, -800.0])
+def test_particle_eta_beyond_sinh_range_exits_1(monkeypatch, tmp_path, capsys, eta):
+    # math.sinh overflows at |eta| = 800: the parent rejects the row
+    # before any worker clusters it
+    particles = tmp_path / "particles.csv"
+    bad_line = _write_particle_events(particles, 20, seed=5, bad_row_after=12,
+                                      bad_row=f"5.0,{eta!r},0.0,0.0")
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert _features_with_workers(monkeypatch, workers, [
+            "--particles", str(particles), "--out", str(out), "--no-window"]) == 1
+        assert not out.exists()
+        assert not (tmp_path / f"workers{workers}.csv.manifest.json").exists()
+        assert (f"line {bad_line}: particle |eta| too large: pt * sinh(eta) overflows"
+                in capsys.readouterr().err)
+
+
+def test_features_wrap_each_particle_phi_once(monkeypatch, tmp_path):
+    # a phi just below -pi wraps to pi and pi wraps to -pi, so a second
+    # wrap would move them; the file's features are those of Particles
+    # built once from the values as written
+    below = math.nextafter(-math.pi, -math.inf)
+    rng = np.random.default_rng(6)
+    events = []
+    for _ in range(10):  # two blocks, so two workers take one each
+        hard = [(300.0, 0.1, below), (120.0, 0.5, math.pi),
+                (280.0, -0.2, 2 * math.pi + 0.1), (110.0, -0.6, -2 * math.pi - 0.2)]
+        soft = zip(*(rng.uniform(lo, hi, 20).tolist()
+                     for lo, hi in ((1.0, 5.0), (-2.0, 2.0), (-7.0, 7.0))))
+        events.append([(pt, eta, phi, 0.0) for pt, eta, phi in [*hard, *soft]])
+    particles = tmp_path / "particles.csv"
+    particles.write_text("event_id,pt,eta,phi,mass\n" + "".join(
+        f"ev{i},{pt!r},{eta!r},{phi!r},{mass!r}\n"
+        for i, rows in enumerate(events) for pt, eta, phi, mass in rows))
+    expected = [extract_features([Particle(*row) for row in rows]).to_row() for rows in events]
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert _features_with_workers(monkeypatch, workers, [
+            "--particles", str(particles), "--out", str(out), "--no-window"]) == 0
+        table = read_features(str(out))
+        assert np.column_stack([table.conditionals, table.features]).tolist() == expected
 
 
 def test_event_id_resuming_after_another_event_exits_1(tmp_path, capsys):

@@ -135,23 +135,38 @@ def test_labels_round_trip(tmp_path):
 
 
 def test_particles_round_trip(tmp_path):
+    # rows come back as read: phi unwrapped, mass 0.0 with no mass column
     path = tmp_path / "particles.csv"
     path.write_text("event_id,pt,eta,phi,mass\n"
                     "ev0,10.0,0.1,0.2,0.0\n"
-                    "ev0,20.0,-1.0,2.0,0.5\n"
-                    "ev1,30.0,2.0,-2.0,0.0\n")
+                    "ev0,20.0,-1.0,7.5,0.5\n"
+                    "ev1,30.0,2.0,-3.5,0.0\n")
     back = list(read_particle_events(str(path)))
     assert [eid for eid, _ in back] == ["ev0", "ev1"]
-    assert [len(ps) for _, ps in back] == [2, 1]
-    assert back[0][1][1].mass == 0.5
-    assert back[0][1][0].pt == 10.0
+    assert all(rows.shape == (len(rows), 4) and rows.dtype == float for _, rows in back)
+    assert back[0][1].tolist() == [[10.0, 0.1, 0.2, 0.0], [20.0, -1.0, 7.5, 0.5]]
+    assert back[1][1].tolist() == [[30.0, 2.0, -3.5, 0.0]]
+    path.write_text("event_id,pt,eta,phi\n"
+                    "ev0,10.0,0.1,-3.1416\n"
+                    "ev0,20.0,-1.0,3.141592653589793\n")
+    ((event_id, rows),) = read_particle_events(str(path))
+    assert event_id == "ev0"
+    assert rows.tolist() == [[10.0, 0.1, -3.1416, 0.0], [20.0, -1.0, 3.141592653589793, 0.0]]
 
 
 def test_particle_reader_validates(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("event_id,pt,eta,phi\n1,-5.0,0.0,0.0\n")
-    with pytest.raises(InputError, match="line 2"):
-        list(read_particle_events(str(path)))
+    for text, message in (
+            ("event_id,pt,eta,phi\n1,0.0,0.0,0.0\n", "line 2: particle pt must be positive"),
+            ("event_id,pt,eta,phi\n1,-5.0,0.0,0.0\n", "line 2: particle pt must be positive"),
+            ("event_id,pt,eta,phi,mass\n1,5.0,0.0,0.0,0.0\n1,5.0,0.0,0.0,-0.5\n",
+             "line 3: particle mass must be non-negative"),
+            ("event_id,pt,eta,phi\n1,5.0,0.0,0.0\n2,5.0,-800.0,0.0\n",
+             "line 3: particle |eta| too large: pt * sinh(eta) overflows")):
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            list(read_particle_events(str(path)))
+        assert str(info.value) == f"{path} {message}"
     path.write_text("pt,eta,phi\n1,2,3\n")
     with pytest.raises(InputError, match="header"):
         list(read_particle_events(str(path)))

@@ -14,9 +14,7 @@ from overdensity.jets import (
     filter_jets,
     invariant_mass_pair,
     nsubjettiness,
-    pack_particles,
     tau21,
-    unpack_particles,
     wrap_phi,
 )
 from reference_clustering import (
@@ -143,6 +141,12 @@ def test_particle_validation():
         Particle(pt=10.0, eta=float("nan"), phi=0.0)
     with pytest.raises(InputError):
         Particle(pt=10.0, eta=0.0, phi=0.0, mass=-1.0)
+    # pz = pt * sinh(eta) must be a finite double: math.sinh overflows
+    # beyond |eta| ~ 710.5, and a huge pt overflows the product before that
+    for pt, eta in ((1.0, 800.0), (1.0, -800.0), (1e300, 700.0)):
+        with pytest.raises(InputError, match=r"particle \|eta\| too large"):
+            Particle(pt=pt, eta=eta, phi=0.0)
+    assert Particle(pt=1.0, eta=700.0, phi=0.0).four_momentum()[3] == math.sinh(700.0)
     assert Particle(pt=10.0, eta=0.0, phi=1.5 * math.pi).phi == pytest.approx(
         -0.5 * math.pi)
 
@@ -243,16 +247,6 @@ def test_clusterer_matches_matrix_oracle_bit_for_bit(n, R, ties, seed):
         assert tau21(jet, R) == (None if t2 is None else 0.0 if t1 == 0.0 else t2 / t1)
     assert _features_or_reason(extract_features, particles, R) == \
         _features_or_reason(matrix_extract_features, particles, R)
-
-
-def test_unpacked_particles_keep_their_wrapped_phi():
-    # a phi just below -pi wraps to pi, and a second wrap would give -pi
-    below = math.nextafter(-math.pi, -math.inf)
-    particles = [Particle(pt=5.0, eta=0.5, phi=below, mass=0.1),
-                 Particle(pt=2.0, eta=-1.0, phi=0.2)]
-    assert particles[0].phi == math.pi
-    assert Particle(pt=5.0, eta=0.5, phi=math.pi).phi == -math.pi
-    assert unpack_particles(pack_particles(particles)) == particles
 
 
 def test_zero_pt_pseudojet_is_promoted_once():
