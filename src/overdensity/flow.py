@@ -353,14 +353,20 @@ def save_model(model: FlowModel, path) -> None:
     lines.append(f"layers {len(model.layers)} slices {n_slices}")
     for i, layer in enumerate(model.layers):
         lines.append(f"layer {i}")
+        # every knots_out row holds the same normal quantiles: format each
+        # distinct knot row of the layer once, keyed on its bytes
+        knot_lines = {}
         for row in layer.weights:
             lines.append(_fmt(row))
         for b in range(model.binning.n_bins):
             for k, table in enumerate(layer.tables):
                 knots_in, knots_out = table.knots(b)
                 lines.append(f"transform {b} {k} {knots_in.size}")
-                lines.append(_fmt(knots_in))
-                lines.append(_fmt(knots_out))
+                for row in (knots_in, knots_out):
+                    key = row.tobytes()
+                    if key not in knot_lines:
+                        knot_lines[key] = _fmt(row)
+                    lines.append(knot_lines[key])
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -418,6 +424,14 @@ def _parse_model(lines) -> FlowModel:
     n_layers, n_slices = int(head[1]), int(head[3])
     n_bins = centers.size
 
+    def take_knots(parsed):
+        # every knots_out line holds the same normal quantiles: parse each
+        # distinct line once, and keep the values only for one layer
+        line = take()
+        if line not in parsed:
+            parsed[line] = np.array(line.split(), dtype=float)
+        return parsed[line]
+
     layers = []
     for i in range(n_layers):
         tag = take().split()
@@ -431,14 +445,15 @@ def _parse_model(lines) -> FlowModel:
         if np.abs(W.T @ W - np.eye(n_slices)).max() > 1e-9:
             raise InputError("slice matrix columns are not orthonormal in model file")
         knots = []  # (knots_in, knots_out) of each transform, bin-major
+        parsed = {}
         for b in range(n_bins):
             for k in range(n_slices):
                 meta = take_field("transform")
                 if int(meta[0]) != b or int(meta[1]) != k:
                     raise InputError("transform blocks out of order in model file")
                 n_knots = int(meta[2])
-                knots_in = np.array(take().split(), dtype=float)
-                knots_out = np.array(take().split(), dtype=float)
+                knots_in = take_knots(parsed)
+                knots_out = take_knots(parsed)
                 if knots_in.size != n_knots or knots_out.size != n_knots:
                     raise InputError("knot table size mismatch in model file")
                 knots.append((knots_in, knots_out))

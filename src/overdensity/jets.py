@@ -5,10 +5,16 @@ declustering for n-subjettiness axes, and the per-event reduction to the
 five dijet features (m_jj, m_j1, m_j1 - m_j2, tau21 of both lead jets).
 
 The clusterer keeps every pair distance in a symmetric n x n table, set
-up in one broadcast over all pairs.  A merge refreshes one row and its
-column in a single pass, and each step takes one argmin over the table and
-one over the beam distances.  That is O(n^2) work per step in a handful of
-numpy calls - ample for events up to several hundred particles.
+up in one broadcast over all pairs.  Each step takes one argmin over the
+table and one over the beam distances; a merge refreshes one row and its
+column through numpy calls that write into row buffers the clusterer
+keeps, so a step allocates no array, and sums the momenta in Python
+floats.  Once half the slots of a large table are dead, it is compacted
+to its live slots, in their order.  A pair distance takes its row factor
+from libm pow(pt^2, power) and its column factor from numpy's array power
+(a reciprocal for anti-kt); the two can differ in the last bit.  That is
+O(n^2) work per step in a handful of numpy calls - ample for events up
+to several hundred particles.
 """
 
 from __future__ import annotations
@@ -21,6 +27,12 @@ import numpy as np
 from .errors import ConfigError, EventRejected, InputError
 
 _TWO_PI = 2.0 * math.pi
+# the same doubles as 0-d arrays, which a ufunc takes without converting
+_PI_0D = np.array(math.pi)
+_TWO_PI_0D = np.array(_TWO_PI)
+# smaller pair tables are never compacted: at 50 slots the copies cost
+# more than the shorter scans save
+_COMPACT_MIN_SLOTS = 64
 # pseudorapidity sentinel for zero-pt pseudojets (exact momentum cancellation)
 _ETA_SENTINEL = 1e10
 
@@ -32,8 +44,9 @@ def wrap_phi(phi):
 
 def check_particle(pt, eta, phi, mass):
     """Raise InputError unless (pt, eta, phi, mass) is a particle the
-    clusterer can take: every value finite, pt > 0, mass >= 0, and
-    pz = pt * sinh(eta) a finite double."""
+    clusterer can take: every value finite, pt > 0, mass >= 0,
+    pz = pt * sinh(eta) a finite double, and so is the energy that
+    Particle.four_momentum computes."""
     if not (math.isfinite(pt) and math.isfinite(eta)
             and math.isfinite(phi) and math.isfinite(mass)):
         raise InputError("particle kinematics must be finite")
@@ -47,6 +60,19 @@ def check_particle(pt, eta, phi, mass):
         pz = math.inf
     if not math.isfinite(pz):
         raise InputError("particle |eta| too large: pt * sinh(eta) overflows")
+    # below this bound each of the energy's four squares is at most about
+    # 1e300, so their sum is finite
+    if max(pt, abs(pz), mass) > 1e150 and not math.isfinite(
+            _four_momentum(pt, eta, wrap_phi(phi), mass)[0]):
+        raise InputError("particle energy overflows: pt, pz or mass too large")
+
+
+def _four_momentum(pt, eta, phi, mass):
+    px = pt * math.cos(phi)
+    py = pt * math.sin(phi)
+    pz = pt * math.sinh(eta)
+    e = math.sqrt(px * px + py * py + pz * pz + mass * mass)
+    return e, px, py, pz
 
 
 @dataclass
@@ -64,11 +90,7 @@ class Particle:
         self.phi = wrap_phi(self.phi)
 
     def four_momentum(self):
-        px = self.pt * math.cos(self.phi)
-        py = self.pt * math.sin(self.phi)
-        pz = self.pt * math.sinh(self.eta)
-        e = math.sqrt(px * px + py * py + pz * pz + self.mass * self.mass)
-        return e, px, py, pz
+        return _four_momentum(self.pt, self.eta, self.phi, self.mass)
 
 
 @dataclass
@@ -117,85 +139,137 @@ class _Cluster:
     A pair's value keeps the bits of the call that set it: its row factor
     is the scalar power pt2[i] ** power (libm pow), its column factor the
     array power held in pt2_pow (numpy's reciprocal for power -1), which
-    can differ from it in the last bit.
+    can differ from it in the last bit.  d_beam holds the array power
+    from set-up and the scalar power for a merged slot.
+
+    The per-slot bookkeeping (e, px, py, pz and pt2) lives in Python
+    lists of floats: the same IEEE additions and the same libm pow as
+    numpy's float64 scalars, without their overhead.  A merged pt2 is
+    pow(px, 2) + pow(py, 2), which can differ from px * px + py * py.
+    eta, phi and pt2_pow are arrays: a merge refreshes its slot's row of
+    distances with numpy calls that write into two row buffers kept for
+    the purpose, and a kept mask sends the dead slots to inf, so a step
+    allocates no array.  The exception is min_pair's compaction: once half
+    the slots of a table of 64 or more are dead, it copies every array and
+    list down to the live slots, O(log n) times per clustering.
     """
 
     def __init__(self, particles, R, power):
-        self.R2 = R * R
+        self.R2 = np.array(R * R)  # 0-d, as _PI_0D
         self.power = power
         n = len(particles)
-        self.e = np.empty(n)
-        self.px = np.empty(n)
-        self.py = np.empty(n)
-        self.pz = np.empty(n)
-        self.pt2 = np.empty(n)
-        self.eta = np.empty(n)
-        self.phi = np.empty(n)
-        for i, p in enumerate(particles):
-            self.e[i], self.px[i], self.py[i], self.pz[i] = p.four_momentum()
-            self.pt2[i] = p.pt * p.pt
-            self.eta[i] = p.eta
-            self.phi[i] = p.phi
-        self.alive = np.ones(n, dtype=bool)
+        self.n = n
+        # one row per particle: pt, eta, phi and the four-momentum
+        cols = np.array([(p.pt, p.eta, p.phi, *p.four_momentum())
+                         for p in particles]).T.copy()
+        pt, self.eta, self.phi = cols[0], cols[1], cols[2]
+        self.e, self.px, self.py, self.pz = cols[3:].tolist()
+        pt2 = pt * pt
+        self.pt2 = pt2.tolist()
+        self.dead = np.zeros(n, dtype=bool)
         self.n_alive = n
         self.constituents = [[i] for i in range(n)]
-        self.pt2_pow = self.pt2 ** power
+        self.pt2_pow = pt2 ** power
         self.d_beam = self.pt2_pow.copy()
-        row_pow = np.array([v ** power for v in self.pt2])
-        d = self._distances(self.eta[:, None], self.phi[:, None], row_pow[:, None])
+        row_pow = np.array([_pow(v, power) for v in self.pt2])
+        d = self._distances(self.eta[:, None], self.phi[:, None], row_pow[:, None],
+                            np.empty((n, n)), np.empty((n, n)))
         # each pair from its lower index: the phi wrap is not antisymmetric
         idx = np.arange(n)
         self.d_pair = np.where(idx[:, None] < idx, d, d.T)
         np.fill_diagonal(self.d_pair, np.inf)
+        self._row = np.empty(n)
+        self._scratch = np.empty(n)
+        self._col_pow = np.empty(1)
 
-    def _distances(self, eta, phi, row_pow):
-        dr2 = (eta - self.eta) ** 2 + ((phi - self.phi + math.pi) % _TWO_PI - math.pi) ** 2
-        return np.minimum(row_pow, self.pt2_pow) * dr2 / self.R2
+    def _distances(self, eta, phi, row_pow, out, scratch):
+        """min(row_pow, pt2_pow) * dR^2 / R^2 of (eta, phi) against every
+        slot, written into out (scratch is overwritten too)."""
+        np.subtract(eta, self.eta, out=out)
+        np.square(out, out=out)
+        np.subtract(phi, self.phi, out=scratch)
+        np.add(scratch, _PI_0D, out=scratch)
+        np.remainder(scratch, _TWO_PI_0D, out=scratch)
+        np.subtract(scratch, _PI_0D, out=scratch)
+        np.square(scratch, out=scratch)
+        np.add(out, scratch, out=out)
+        np.minimum(row_pow, self.pt2_pow, out=scratch)
+        np.multiply(scratch, out, out=out)
+        np.divide(out, self.R2, out=out)
+        return out
 
     def min_pair(self):
+        """(distance, lo, hi) of the first minimal live pair.  A table of
+        _COMPACT_MIN_SLOTS or more slots, half of them dead, is compacted
+        first, so slot indices from an earlier step no longer hold."""
+        if self.n_alive * 2 <= self.n and self.n >= _COMPACT_MIN_SLOTS:
+            self._compact()
         flat = int(self.d_pair.argmin())
-        i, j = divmod(flat, self.d_pair.shape[1])
-        return self.d_pair[i, j], i, j
+        i, j = divmod(flat, self.n)
+        return self.d_pair.item(flat), i, j
 
     def min_beam(self):
         i = int(self.d_beam.argmin())
-        if not self.alive[i]:
+        if self.dead[i]:
             # every live pseudojet has zero pt (d_beam = inf), and argmin
             # fell on a dead slot: promote the first live one
-            i = int(self.alive.argmax())
-        return self.d_beam[i], i
+            i = int(self.dead.argmin())
+        return self.d_beam.item(i), i
 
     def merge(self, i, j):
         self.e[i] += self.e[j]
-        self.px[i] += self.px[j]
-        self.py[i] += self.py[j]
-        self.pz[i] += self.pz[j]
-        pt2 = self.px[i] ** 2 + self.py[i] ** 2
-        self.pt2[i] = pt2
+        px = self.px[i] = self.px[i] + self.px[j]
+        py = self.py[i] = self.py[i] + self.py[j]
+        pz = self.pz[i] = self.pz[i] + self.pz[j]
+        pt2 = self.pt2[i] = _pow(px, 2) + _pow(py, 2)
         if pt2 > 0:
-            self.eta[i] = math.asinh(self.pz[i] / math.sqrt(pt2))
-            row_pow = pt2 ** self.power
-            col_pow = self.pt2[i:i + 1] ** self.power
+            eta = math.asinh(pz / math.sqrt(pt2))
+            row_pow = _pow(pt2, self.power)
+            # the column factor is numpy's array power, as at set-up
+            self._col_pow[0] = pt2
+            self._col_pow **= self.power
+            col_pow = self._col_pow[0]
             self.d_beam[i] = row_pow
         else:
-            self.eta[i] = math.copysign(_ETA_SENTINEL, self.pz[i]) if self.pz[i] else 0.0
+            eta = math.copysign(_ETA_SENTINEL, pz) if pz else 0.0
             # 0 ** power, without numpy's division-by-zero warning
             row_pow = col_pow = math.inf if self.power < 0 else 0.0
             self.d_beam[i] = np.inf
-        self.phi[i] = math.atan2(self.py[i], self.px[i])
+        phi = math.atan2(py, px)
+        self.eta[i] = eta
+        self.phi[i] = phi
         self.constituents[i] = self.constituents[i] + self.constituents[j]
         self._kill(j)
         # slot i's own entry is discarded, so its column factor is set only
         # after the row: an infinite one would meet dR = 0 there (inf * 0)
-        row = self._distances(self.eta[i], self.phi[i], row_pow)
-        self.pt2_pow[i:i + 1] = col_pow
-        row = np.where(self.alive, row, np.inf)
+        row = self._distances(eta, phi, row_pow, self._row, self._scratch)
+        self.pt2_pow[i] = col_pow
+        np.copyto(row, np.inf, where=self.dead)
         row[i] = np.inf
         self.d_pair[i] = row
         self.d_pair[:, i] = row
 
+    def _compact(self):
+        """Drop the dead slots and keep the live ones in their order, so
+        every value keeps its bits and the first minimal pair and beam
+        distance are the same pseudojets as before."""
+        live = np.flatnonzero(~self.dead)
+        self.d_pair = self.d_pair[np.ix_(live, live)]
+        self.eta = self.eta[live]
+        self.phi = self.phi[live]
+        self.pt2_pow = self.pt2_pow[live]
+        self.d_beam = self.d_beam[live]
+        live = live.tolist()
+        self.e, self.px, self.py, self.pz, self.pt2, self.constituents = (
+            [values[k] for k in live] for values in
+            (self.e, self.px, self.py, self.pz, self.pt2, self.constituents))
+        self.n = len(live)
+        self.dead = np.zeros(self.n, dtype=bool)
+        self._row = self._row[:self.n]
+        self._scratch = self._scratch[:self.n]
+
     def _kill(self, i):
-        self.alive[i] = False
+        self.dead[i] = True
         self.n_alive -= 1
         self.d_beam[i] = np.inf
         self.d_pair[i, :] = np.inf
@@ -203,12 +277,21 @@ class _Cluster:
 
     def jet_from_slot(self, particles, i):
         idx = list(self.constituents[i])
-        return Jet(e=float(self.e[i]), px=float(self.px[i]), py=float(self.py[i]),
-                   pz=float(self.pz[i]), constituents=[particles[c] for c in idx],
-                   constituent_indices=idx)
+        return Jet(e=self.e[i], px=self.px[i], py=self.py[i], pz=self.pz[i],
+                   constituents=[particles[c] for c in idx], constituent_indices=idx)
 
     def axis_from_slot(self, i):
-        return float(self.eta[i]), float(self.phi[i])
+        return self.eta.item(i), self.phi.item(i)
+
+
+def _pow(x, power):
+    """x ** power through libm pow, as numpy's float64 scalars give it,
+    with inf where the result overflows and for 0 ** -1 (no caller takes
+    a negative result)."""
+    try:
+        return x ** power
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def cluster_antikt(particles, R: float = 1.0) -> list:
@@ -270,7 +353,7 @@ def _subjettiness(jet, counts, R):
         while cl.n_alive > n_axes:
             _, i, j = cl.min_pair()
             cl.merge(i, j)
-        axes = [cl.axis_from_slot(i) for i in np.flatnonzero(cl.alive)]
+        axes = [cl.axis_from_slot(i) for i in np.flatnonzero(~cl.dead)]
         acc = 0.0
         for p in consts:
             acc += p.pt * math.sqrt(min(_delta_r2(p.eta, p.phi, ae, ap) for ae, ap in axes))

@@ -331,6 +331,25 @@ def test_particle_eta_beyond_sinh_range_exits_1(monkeypatch, tmp_path, capsys, e
                 in capsys.readouterr().err)
 
 
+def test_particle_energy_overflow_exits_1(monkeypatch, tmp_path, capsys):
+    # pt = 1e160 keeps pz finite, but pt^2 overflows the energy; before the
+    # energy rule this file clustered into jets of infinite pt and exited 0
+    particles = tmp_path / "particles.csv"
+    particles.write_text("event_id,pt,eta,phi,mass\n"
+                         "ev0,1e160,0.0,0.0,0.0\n"
+                         "ev0,1e160,0.1,0.0,0.0\n"
+                         "ev0,50.0,1.0,2.0,0.0\n"
+                         "ev0,40.0,-1.0,-2.0,0.0\n")
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert _features_with_workers(monkeypatch, workers, [
+            "--particles", str(particles), "--out", str(out), "--no-window"]) == 1
+        assert not out.exists()
+        assert not (tmp_path / f"workers{workers}.csv.manifest.json").exists()
+        assert ("line 2: particle energy overflows: pt, pz or mass too large"
+                in capsys.readouterr().err)
+
+
 def test_features_wrap_each_particle_phi_once(monkeypatch, tmp_path):
     # a phi just below -pi wraps to pi and pi wraps to -pi, so a second
     # wrap would move them; the file's features are those of Particles

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from overdensity.errors import EventRejected, InputError
 from overdensity.jets import (
     Particle,
+    _Cluster,
     cluster_antikt,
     extract_features,
     filter_jets,
@@ -146,7 +147,12 @@ def test_particle_validation():
     for pt, eta in ((1.0, 800.0), (1.0, -800.0), (1e300, 700.0)):
         with pytest.raises(InputError, match=r"particle \|eta\| too large"):
             Particle(pt=pt, eta=eta, phi=0.0)
-    assert Particle(pt=1.0, eta=700.0, phi=0.0).four_momentum()[3] == math.sinh(700.0)
+    # so must the energy: at pt = 1, pz^2 overflows between eta 355 and 356
+    assert Particle(pt=1.0, eta=355.0, phi=0.0).four_momentum()[0] == math.sinh(355.0)
+    for pt, eta, mass in ((1.0, 356.0, 0.0), (1.0, -700.0, 0.0), (1e160, 0.0, 0.0),
+                          (1.0, 0.0, 1e160)):
+        with pytest.raises(InputError, match="particle energy overflows"):
+            Particle(pt=pt, eta=eta, phi=0.0, mass=mass)
     assert Particle(pt=10.0, eta=0.0, phi=1.5 * math.pi).phi == pytest.approx(
         -0.5 * math.pi)
 
@@ -268,3 +274,26 @@ def test_zero_pt_pseudojet_is_promoted_once():
     jets = result[0]
     assert sorted(i for j in jets for i in j.constituent_indices) == [0, 1, 2]
     assert [j.pt for j in jets] == [100.0, 0.0]
+
+
+@pytest.mark.parametrize("power", [-1, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merged_column_factor_is_numpys_array_power(power, seed):
+    # a slot's column factor must be numpy's array power of its pt^2 (a
+    # reciprocal for power -1), never libm's scalar pow: on these pt the two
+    # differ in the last bit, which the tie rules can see.  At 120 slots the
+    # table is compacted on the way, so the check covers the copies too
+    rng = np.random.default_rng(seed)
+    n = 120
+    particles = [Particle(pt=_TIE_PTS[k], eta=a / 8.0, phi=b / 8.0)
+                 for k, a, b in zip(rng.integers(0, 2, n), rng.integers(-16, 17, n),
+                                    rng.integers(-25, 26, n))]
+    cl = _Cluster(particles, 1.0, power)
+    while True:
+        live = np.flatnonzero(~cl.dead)
+        expected = np.array([cl.pt2[k] for k in live]) ** power
+        assert (cl.pt2_pow[live].view(np.int64) == expected.view(np.int64)).all()
+        if len(live) == 1:
+            break
+        _, i, j = cl.min_pair()
+        cl.merge(i, j)
