@@ -107,6 +107,26 @@ def build_binning(m_values, n_bins: int, min_occupancy: int = 2) -> ConditionalB
 
 # -- vectorized evaluation of a slice's per-bin transforms --------------------
 
+# a KnotTable cuts each bin's search row into this many buckets per slot
+_BUCKETS_PER_SLOT = 4
+
+
+def _bucket_entries(y, bins, scale, offset, buckets):
+    """bins * buckets + u, u the bucket of y in its bin: trunc(clip(y *
+    scale[bins] + offset[bins], 0, buckets - 1)), a monotone map of y.
+    NaN (y NaN, or an infinite y times a zero scale) is in bucket 0, and
+    a y far outside its bin overflows to an infinity that the clip takes."""
+    u = scale.take(bins)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u *= y
+        u += offset.take(bins)
+    np.fmax(u, 0.0, out=u)
+    np.fmin(u, buckets - 1, out=u)
+    entries = bins * buckets
+    entries += u.astype(np.intp)
+    return entries
+
+
 class KnotTable:
     """The per-bin monotone maps of one slice as a table of cubic segments.
 
@@ -118,9 +138,9 @@ class KnotTable:
     Bin b owns `stride` = (longest knot count + 1) consecutive slots.  With
     n knots, slot 0 is the low tail, slots 1 .. n-1 hold knot segments
     0 .. n-2 and slot n the high tail; any further slots repeat the high
-    tail.  Each slot stores the columns of `segments`: anchor x, width h,
-    value a, slope d0 and the Hermite coefficients c2, c3, computed once
-    with Marginal1DTransform.transform's expressions.  A tail is a segment
+    tail.  Each slot is a row of `segments`: anchor x, width h, value a,
+    slope d0 and the Hermite coefficients c2, c3, computed once with
+    Marginal1DTransform.transform's expressions.  A tail is a segment
     anchored at its end knot with h = 1, d0 = the tail slope and
     c2 = c3 = 0, so one cubic serves every slot.  Slots 1 .. n thus anchor
     and value at the knots themselves, which is where knots(b) reads them.
@@ -129,8 +149,21 @@ class KnotTable:
     nextafter(x_{n-1}, +inf), so that the last knot itself falls in the
     last segment, then NaN padding.  NaN <= y is false for every y, so the
     count of row entries <= y is one of the bin's own n + 1 slots, even
-    for y = +inf.  Built once per (layer, slice), so evaluating any mix of
-    bins costs a fixed number of array operations.
+    for y = +inf.
+
+    The count is taken in a window of the row.  Bin b's span from its
+    first to its last edge is cut into `buckets` = 4 * stride equal
+    buckets, and y lies in bucket u = trunc(clip(y * scale[b] + offset[b],
+    0, buckets - 1)) (_bucket_entries).  That map is monotone in y and
+    buckets the edges too, so every edge of an earlier bucket is <= y and
+    every edge of a later one > y.  window[b * buckets + u] is where,
+    counted from b's first slot, the `width` entries that hold bucket u's
+    edges begin; width is the table's largest bucket occupancy.  A window that would run past b's
+    row starts further left, over edges of earlier buckets, which count
+    as <= y anyway.  A bin whose span gives no finite scale and offset has
+    one bucket, a search of the whole row.  Built once per (layer, slice),
+    so evaluating any mix of bins costs a fixed number of array
+    operations.
     """
 
     def __init__(self, knots, floor):
@@ -165,23 +198,47 @@ class KnotTable:
         c2 = 3.0 * delta - 2.0 * d0 - d1
         c3 = d0 + d1 - 2.0 * delta
 
-        segments = np.zeros((6, n_bins, self.stride))
-        segments[1] = 1.0  # the tails' h; their c2 and c3 stay 0
-        for row, low, high in ((0, x[starts], x[ends]), (2, y[starts], y[ends]),
+        segments = np.zeros((n_bins, self.stride, 6))
+        segments[:, :, 1] = 1.0  # the tails' h; their c2 and c3 stay 0
+        for col, low, high in ((0, x[starts], x[ends]), (2, y[starts], y[ends]),
                                (3, tails[:, 0], tails[:, 1])):
-            segments[row] = high[:, None]
-            segments[row, :, 0] = low
-        # one row per column, so a single take gathers all six
-        self.segments = segments.reshape(6, -1)
-        self.segments[:, at[j] + 1] = (x[j], h, y[j], d0, c2, c3)
+            segments[:, :, col] = high[:, None]
+            segments[:, 0, col] = low
+        # one row per slot
+        self.segments = segments.reshape(-1, 6)
+        self.segments[at[j] + 1] = np.column_stack((x[j], h, y[j], d0, c2, c3))
         self.edges = np.full(n_bins * self.stride, np.nan)
         self.edges[at[j]] = x[j]
         self.edges[at[ends]] = np.nextafter(x[ends], np.inf)
+        self._index_buckets(n_bins)
+
+    def _index_buckets(self, n_bins):
+        """scale, offset, window and width: the bucket index of the search
+        rows (see the class docstring)."""
+        stride = self.stride
+        buckets = _BUCKETS_PER_SLOT * stride
+        rows = self.edges.reshape(n_bins, stride)
+        low, high = rows[:, 0], rows[np.arange(n_bins), self.n_knots - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scale = buckets / (high - low)
+            self.offset = -(low * self.scale)
+        one = ~(np.isfinite(self.scale) & np.isfinite(self.offset))
+        self.scale[one] = 0.0
+        self.offset[one] = 0.0
+        entries = _bucket_entries(self.edges, np.arange(n_bins).repeat(stride),
+                                  self.scale, self.offset, buckets)
+        # the NaN padding is not an edge
+        occupancy = np.bincount(entries[(np.arange(stride) < self.n_knots[:, None]).ravel()],
+                                minlength=n_bins * buckets)
+        self.width = int(occupancy.max())
+        before = occupancy.reshape(n_bins, buckets).cumsum(axis=1).ravel() - occupancy
+        self.window = np.minimum(before, stride - self.width).astype(
+            np.min_scalar_type(stride - 1))
 
     def knots(self, b):
         """Bin b's (knots_in, knots_out), the doubles it was built from."""
         first = b * self.stride + 1
-        return self.segments[[0, 2], first:first + self.n_knots[b]]
+        return self.segments[first:first + self.n_knots[b], [0, 2]].T
 
 
 def _count_le(row, start, width, v):
@@ -206,12 +263,30 @@ def eval_binned(table: KnotTable, start, y):
     h * t = t, and the cubic terms add a signed zero to a positive slope.
     An infinite y gives NaN (inf * 0 in the cubic terms).
     """
-    y = np.ascontiguousarray(y, dtype=float)  # every search round reads all of y
-    slot = _count_le(table.edges, start, table.stride, y)
-    x, h, a, d0, c2, c3 = np.take(table.segments, slot, axis=1)
-    t = (y - x) / h
-    psi = a + h * t * (d0 + t * (c2 + t * c3))
-    deriv = d0 + t * (2.0 * c2 + 3.0 * t * c3)
+    y = np.ascontiguousarray(y, dtype=float)
+    at = _bucket_entries(y, start // table.stride, table.scale, table.offset,
+                         _BUCKETS_PER_SLOT * table.stride)
+    np.add(start, table.window.take(at), out=at)  # the first slot of y's window
+    # the gather through the transposed view gives contiguous columns, on
+    # which the arithmetic runs twice as fast as on a row gather's strided ones
+    x, h, a, d0, c2, c3 = table.segments.T.take(
+        _count_le(table.edges, at, table.width, y), axis=1)
+    # a + h * t * (d0 + t * (c2 + t * c3)) and d0 + t * (2 c2 + 3 t c3),
+    # operation for operation, in place
+    t = y - x
+    t /= h
+    psi = t * c3
+    psi += c2
+    psi *= t
+    psi += d0
+    ht = h * t
+    psi *= ht
+    psi += a
+    deriv = np.multiply(t, 3.0)
+    deriv *= c3
+    deriv += np.multiply(c2, 2.0, out=ht)
+    deriv *= t
+    deriv += d0
     return psi, np.maximum(deriv, table.floor, out=deriv)
 
 
@@ -219,7 +294,7 @@ def _bracket(table: KnotTable, bin_idx, z):
     """Bracket (a, v, c) of bin bin_idx[i]'s inverse at z[i], Newton-free:
     on a tail the exact root, a = v = c; inside the knot range the
     bracketing segment [x_j, x_{j+1}] and the secant point v in it."""
-    x, _, yk, d0, c2, c3 = table.segments
+    x, _, yk, d0, c2, c3 = table.segments.T
     base = bin_idx * table.stride
     last = base + table.n_knots[bin_idx]  # the high-tail slot
     # slots 1 .. n hold knot outputs y_0 .. y_{n-1} as their values, so one
@@ -306,7 +381,7 @@ def interpolated_inverse(table: KnotTable, lo, hi, t, z):
     from the t-blend of the two secant points; each step plans the rows
     it evaluates.
     """
-    z = np.ascontiguousarray(z, dtype=float)  # as in eval_binned
+    z = np.ascontiguousarray(z, dtype=float)  # every search round reads all of z
     a_lo, v_lo, c_lo = _bracket(table, lo, z)
     a_hi, v_hi, c_hi = _bracket(table, hi, z)
     return safeguarded_newton(

@@ -25,7 +25,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -40,6 +40,12 @@ SCAN_COLUMNS = ("m_lo", "m_hi", "count", "alpha_max", "alpha_p99")
 
 # rows converted to Python numbers at a time by _number_rows
 _BLOCK_ROWS = 4096
+# features lines parsed at a time by _parse_block
+_PARSE_LINES = 1024
+# characters that send a block to the row-by-row parse: a quote (csv
+# quoting), NUL (refused by some Pythons' csv), and U+001C..U+001F, which
+# numpy's parser takes as whitespace around a number and float() does not
+_ROW_BY_ROW_CHARS = '"\x00\x1c\x1d\x1e\x1f'
 
 
 def _fnum(x) -> str:
@@ -94,12 +100,13 @@ def _float_cells(cells, columns, path, line_no) -> list:
             raise InputError(f"{where}: non-finite value {token!r}")
 
 
-def _csv_rows(path, kind):
-    """Rows of a CSV input file.  A file that cannot be opened, or that
-    holds a byte that does not decode as text, raises InputError."""
+def _text_lines(path, kind):
+    """Lines of a text input file, each with its end as written.  A file
+    that cannot be opened, or that holds a byte that does not decode as
+    text, raises InputError."""
     try:
         with open(path, newline="") as fh:
-            yield from csv.reader(fh)
+            yield from fh
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -135,16 +142,45 @@ def write_features(path, event_ids, conditional_name, conditionals,
     return len(event_ids)
 
 
-def read_features(path) -> FeatureTable:
-    reader = _csv_rows(path, "features")
-    header = next(reader, None)
-    if header is None:
-        raise InputError(f"{path}: empty file, expected a header row")
-    if len(header) < 3 or header[0] != "event_id":
-        raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
-    ids = []
-    values = array("d")  # each row's conditional and features, end to end
-    for line_no, row in enumerate(reader, start=2):
+def _parse_block(lines, width):
+    """(ids, values) of a block of features lines as the row-by-row parse
+    reads them, or None where that parse is needed: a quote, NUL or
+    U+001C..U+001F, a CR not followed by LF, a row of other than width
+    cells (a whitespace-only line is a row of one), a line longer than
+    csv's field limit, or a cell that np.loadtxt does not take as a
+    finite number.  np.loadtxt converts cells with the correctly rounded
+    string-to-double of float(), so the values are float()'s bits."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    # a line holds one LF at most, at its end; one ended by a lone CR has none
+    ends = text.count("\n") + (not lines[-1].endswith(("\n", "\r")))
+    if (any(c in text for c in _ROW_BY_ROW_CHARS) or ends != len(lines)
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    # np.loadtxt ignores cells past usecols, so the comma count checks
+    # that every row has width cells; csv skips blank lines
+    commas = text.count(",")
+    if commas != len(lines) * (width - 1):
+        lines = [ln for ln in lines if ln != "\n" and ln != "\r\n"]
+        if commas != len(lines) * (width - 1):
+            return None
+        if not lines:  # np.loadtxt warns on an empty block
+            return [], np.empty((0, width - 1))
+    try:
+        values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                            usecols=range(1, width), ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[0] != len(lines) or not np.isfinite(values).all():
+        return None
+    return [ln.partition(",")[0] for ln in lines], values
+
+
+def _read_rows(rows, header, path, line_no, ids, values) -> None:
+    """The row-by-row parse of features rows, numbered from line_no: each
+    row's id onto ids and its numbers onto values, or InputError naming
+    the first bad row, column and cell."""
+    for line_no, row in enumerate(rows, start=line_no):
         if not row:
             continue
         if len(row) != len(header):
@@ -152,7 +188,40 @@ def read_features(path) -> FeatureTable:
                              f"columns, got {len(row)}")
         ids.append(row[0])
         values.extend(_float_cells(row[1:], header[1:], path, line_no))
-    table = np.frombuffer(values, dtype=float).reshape(-1, len(header) - 1)
+
+
+def read_features(path) -> FeatureTable:
+    """Read a features file, _PARSE_LINES lines at a time.  Each block is
+    parsed at once (_parse_block); from the first block that cannot be,
+    the rest of the file is read row by row, so a file reads the same
+    either way and every error names its line, column and cell."""
+    lines = _text_lines(path, "features")
+    header = next(csv.reader(lines), None)
+    if header is None:
+        raise InputError(f"{path}: empty file, expected a header row")
+    if len(header) < 3 or header[0] != "event_id":
+        raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
+    width = len(header)
+    ids = []
+    values = array("d")  # each row's conditional and features, end to end
+    line_no = 2
+    while True:
+        block = []
+        try:
+            block.extend(islice(lines, _PARSE_LINES))
+        except InputError:  # an undecodable byte: the lines before it come first
+            _read_rows(csv.reader(block), header, path, line_no, [], array("d"))
+            raise
+        if not block:
+            break
+        parsed = _parse_block(block, width)
+        if parsed is None:
+            _read_rows(csv.reader(chain(block, lines)), header, path, line_no, ids, values)
+            break
+        ids.extend(parsed[0])
+        values.frombytes(parsed[1].tobytes())
+        line_no += len(block)
+    table = np.frombuffer(values, dtype=float).reshape(-1, width - 1)
     return FeatureTable(event_ids=ids, conditional_name=header[1],
                         conditionals=table[:, 0].copy(), feature_names=header[2:],
                         features=np.ascontiguousarray(table[:, 1:]))
@@ -178,7 +247,7 @@ def read_particle_events(path):
     jets.check_particle, or an event_id whose rows resume after another
     event's is an InputError naming its line.
     """
-    reader = _csv_rows(path, "particles")
+    reader = csv.reader(_text_lines(path, "particles"))
     header = next(reader, None)
     if header is None:
         raise InputError(f"{path}: empty file, expected a header row")

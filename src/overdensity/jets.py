@@ -35,6 +35,11 @@ _TWO_PI_0D = np.array(_TWO_PI)
 _COMPACT_MIN_SLOTS = 64
 # pseudorapidity sentinel for zero-pt pseudojets (exact momentum cancellation)
 _ETA_SENTINEL = 1e10
+# the particle rules' bounds: pt >= _PT_MIN keeps pt^2 and pt^-2 finite
+# normal doubles, and pt, |pz|, mass <= _MOMENTUM_MAX keep an energy below
+# 1.8e140, so the squares of summed momenta stay finite up to 1e13 particles
+_PT_MIN = 1e-150
+_MOMENTUM_MAX = 1e140
 
 
 def wrap_phi(phi):
@@ -46,7 +51,8 @@ def check_particle(pt, eta, phi, mass):
     """Raise InputError unless (pt, eta, phi, mass) is a particle the
     clusterer can take: every value finite, pt > 0, mass >= 0,
     pz = pt * sinh(eta) a finite double, and so is the energy that
-    Particle.four_momentum computes."""
+    Particle.four_momentum computes; then pt in [_PT_MIN, _MOMENTUM_MAX],
+    and |pz| and mass at most _MOMENTUM_MAX."""
     if not (math.isfinite(pt) and math.isfinite(eta)
             and math.isfinite(phi) and math.isfinite(mass)):
         raise InputError("particle kinematics must be finite")
@@ -65,6 +71,14 @@ def check_particle(pt, eta, phi, mass):
     if max(pt, abs(pz), mass) > 1e150 and not math.isfinite(
             _four_momentum(pt, eta, wrap_phi(phi), mass)[0]):
         raise InputError("particle energy overflows: pt, pz or mass too large")
+    if pt < _PT_MIN:
+        raise InputError(f"particle pt below {_PT_MIN:g}: 1/pt^2 overflows")
+    if pt > _MOMENTUM_MAX:
+        raise InputError(f"particle pt above {_MOMENTUM_MAX:g}")
+    if abs(pz) > _MOMENTUM_MAX:
+        raise InputError(f"particle |pz| = |pt * sinh(eta)| above {_MOMENTUM_MAX:g}")
+    if mass > _MOMENTUM_MAX:
+        raise InputError(f"particle mass above {_MOMENTUM_MAX:g}")
 
 
 def _four_momentum(pt, eta, phi, mass):

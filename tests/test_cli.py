@@ -350,6 +350,26 @@ def test_particle_energy_overflow_exits_1(monkeypatch, tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("rows, message", [
+    # pt^2 of the soft pair is subnormal: 1/pt^2 overflowed, numpy warned,
+    # and the two clustered as separate zero-pt jets 0.14 apart inside R = 1
+    (["ev0,1e-160,0.0,0.0,0.0", "ev0,1e-160,0.1,0.1,0.0"], "particle pt below 1e-150"),
+    # each has a finite energy, but their merged jet had pt = inf
+    (["ev0,1.3e154,0.0,0.0,0.0", "ev0,1.3e154,0.0,0.0,0.0"], "particle pt above 1e+140"),
+])
+def test_particle_momentum_bounds_exit_1(monkeypatch, tmp_path, capsys, rows, message):
+    particles = tmp_path / "particles.csv"
+    particles.write_text("\n".join(["event_id,pt,eta,phi,mass", *rows,
+                                     "ev0,50.0,1.0,2.0,0.0", "ev0,40.0,-1.0,-2.0,0.0"]) + "\n")
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert _features_with_workers(monkeypatch, workers, [
+            "--particles", str(particles), "--out", str(out), "--no-window"]) == 1
+        assert not out.exists()
+        assert not (tmp_path / f"workers{workers}.csv.manifest.json").exists()
+        assert f"line 2: {message}" in capsys.readouterr().err
+
+
 def test_features_wrap_each_particle_phi_once(monkeypatch, tmp_path):
     # a phi just below -pi wraps to pi and pi wraps to -pi, so a second
     # wrap would move them; the file's features are those of Particles

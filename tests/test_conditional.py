@@ -4,8 +4,11 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from knot_tables import knot_table
+from overdensity import conditional
 from overdensity.conditional import (
     ConditionalBinning,
+    KnotTable,
+    _count_le,
     _interpolate_rows as interpolate,
     build_binning,
     eval_binned,
@@ -206,3 +209,107 @@ def test_knot_table_matches_transform_bit_for_bit(family):
     z, _ = interpolate(table, bins, hi, t, ys)
     back, _ = interpolate(table, bins, hi, t, interpolated_inverse(table, bins, hi, t, z))
     assert_allclose(back, z, rtol=1e-10, atol=1e-10)
+
+
+def _ulp_steps(start, steps):
+    """start, then each next knot the given number of ulps above the last."""
+    x = [float(start)]
+    for k in steps:
+        x.append(x[-1])
+        for _ in range(k):
+            x[-1] = float(np.nextafter(x[-1], np.inf))
+    return np.array(x)
+
+
+@st.composite
+def search_tables(draw):
+    """Knot tables made to stress the bucket index: mixed knot counts
+    (padding), 2-knot bins, knots a few ulps apart (buckets holding
+    several edges, so windows wider than one and moved left at the row's
+    end), subnormal spans (a non-finite scale: one bucket) and wide
+    spreads.  knots_out = knots_in keeps every slope 1."""
+    knots = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 12))
+        kind = draw(st.sampled_from(["ulps", "clustered", "subnormal", "spread"]))
+        if kind == "ulps":
+            x = _ulp_steps(draw(st.floats(-1e3, 1e3)),
+                           draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1)))
+        elif kind == "clustered":  # a few ulps apart, then one wide gap
+            x = _ulp_steps(draw(st.floats(-1e3, 1e3)),
+                           draw(st.lists(st.integers(1, 2), min_size=n - 2, max_size=n - 2)))
+            x = np.append(x, x[-1] + draw(st.floats(1e-3, 1e3)))
+        elif kind == "subnormal":
+            x = np.cumsum(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))) * 5e-324
+        else:
+            x = np.unique(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+            if x.size < 2:
+                x = np.array([x[0], x[0] + 1.0])
+        knots.append((x, x.copy()))
+    return knots
+
+
+def _check_search(table, knots, floor):
+    """Every edge, its neighbours one ulp away, each bin's knots, +-inf
+    and NaN: the windowed search finds the slot of the full-width one, and
+    eval_binned matches Marginal1DTransform.transform bit for bit on every
+    finite value."""
+    bins, ys = [], []
+    for b, (x, _) in enumerate(knots):
+        row = table.edges[b * table.stride:(b + 1) * table.stride]
+        row = row[~np.isnan(row)]
+        v = np.concatenate([row, np.nextafter(row, -np.inf), np.nextafter(row, np.inf), x,
+                            [-np.inf, np.inf, np.nan, 0.0, -1e300, 1e300]])
+        bins.extend([b] * v.size)
+        ys.extend(v.tolist())
+    bins, ys = np.array(bins), np.array(ys)
+    start = bins * table.stride
+    slots = []
+
+    def spy(*args):
+        slots.append(_count_le(*args))
+        return slots[-1]
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(conditional, "_count_le", spy)
+        psi, deriv = eval_binned(table, start, ys)
+    assert slots[0].tobytes() == _count_le(table.edges, start, table.stride, ys).tobytes()
+    finite = np.isfinite(ys)
+    ref = np.array([np.concatenate(Marginal1DTransform.from_knots(
+        *knots[b], derivative_floor=floor).transform(np.array([y])))
+        for b, y in zip(bins[finite], ys[finite])])
+    got = np.column_stack([psi[finite], deriv[finite]])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@given(search_tables(), st.sampled_from([1e-6, 0.3, 3.0]))
+def test_bucketed_search_matches_full_search(knots, floor):
+    _check_search(KnotTable(knots, floor), knots, floor)
+
+
+def test_bucket_index_fixed_cases():
+    spread = np.linspace(-5.0, 5.0, 12)
+    # the last bin's first knots share a bucket: the window is three wide,
+    # and the windows of the buckets at the end of its row start further left
+    clustered = np.append(_ulp_steps(1.0, [1, 1]), np.linspace(2.0, 9.0, 9))
+    # a subnormal span overflows the scale: that bin is one bucket
+    subnormal = np.arange(4) * 1e-310
+    two = np.array([-1.0, 3.0])
+    tables = {"spread": [spread, two], "clustered": [two, spread, clustered],
+              "subnormal": [spread, subnormal]}
+    for name, xs in tables.items():
+        knots = [(x, x.copy()) for x in xs]
+        table = KnotTable(knots, 1e-6)
+        _check_search(table, knots, 1e-6)
+        assert table.window.dtype == np.uint8
+        if name == "spread":
+            assert table.width == 1
+        if name == "clustered":
+            assert table.width == 3
+            assert table.window.max() == table.stride - table.width
+        if name == "subnormal":
+            assert table.scale[1] == table.offset[1] == 0.0
+            assert table.width == subnormal.size
+    # a stride above 256 needs two-byte window starts
+    wide = np.linspace(0.0, 1.0, 300)
+    assert KnotTable([(wide, wide), (two, two)], 1e-6).window.dtype == np.uint16

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from overdensity import dataio
 from overdensity.anomaly import ScanRow, ScoreConfig, score_events
 from overdensity.dataio import (
     SCORE_COLUMNS,
@@ -187,6 +188,113 @@ def test_readers_reject_undecodable_bytes(tmp_path):
     path.write_bytes(b"event_id,m,x\n1,0.5,\xff\n")
     with pytest.raises(InputError, match="not a text file"):
         read_features(str(path))
+
+
+def _read_both_ways(path, block_lines):
+    """read_features's result, or its InputError message, through the
+    block parse (block_lines lines a block) and through the row-by-row
+    parse alone; and how many blocks the block parse took."""
+    taken = []
+
+    def read(parse_block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_PARSE_LINES", block_lines)
+            mp.setattr(dataio, "_parse_block", parse_block)
+            try:
+                t = read_features(str(path))
+            except (InputError, csv.Error) as exc:  # csv's field limit
+                return f"{type(exc).__name__}: {exc}"
+        return (t.event_ids, t.conditional_name, t.feature_names,
+                t.conditionals.tobytes(), t.features.tobytes(), t.features.shape)
+
+    def counted(lines, width):
+        parsed = parse_block(lines, width)
+        taken.append(parsed is not None)
+        return parsed
+
+    parse_block = dataio._parse_block
+    return read(counted), read(lambda lines, width: None), sum(taken)
+
+
+_ROWS = ["a,1.5,2.0,-3.25", "b,1e-300,5e-324,-0.0", "c,2750.0,0.1,1e300",
+         "d,7.0,8.0,9.0", "e,-1.0,-2.0,-3.0"]
+# (text, blocks of 2 lines the block parse takes): each file reads alike
+# both ways, to the same values or the same error
+_FEATURES_FILES = {
+    "lf": ("\n".join(["event_id,m,x,y", *_ROWS]) + "\n", 3),
+    "crlf": ("\r\n".join(["event_id,m,x,y", *_ROWS]) + "\r\n", 3),
+    "no final newline": ("\n".join(["event_id,m,x,y", *_ROWS]), 3),
+    "bare cr": ("\r".join(["event_id,m,x,y", *_ROWS]) + "\r", 0),
+    "cr in the second block": ("event_id,m,x,y\n" + "\n".join(_ROWS[:3]) + "\r"
+                               + "\n".join(_ROWS[3:]) + "\n", 1),
+    "blank lines": ("event_id,m,x,y\n\na,1.0,2.0,3.0\r\n\r\n\n"
+                    "b,4.0,5.0,6.0\n\n", 3),
+    "only blank lines": ("event_id,m,x,y\n\n\r\n\n", 2),
+    "whitespace-only line": ("event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\n \t\n", 1),
+    "quoted ids": ('event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\n"c,1",1.0,2.0,3.0\n'
+                   '"d""",4.0,5.0,6.0\n', 1),
+    "quoted header": ('"event_id","m",x,"y, z"\n' + "\n".join(_ROWS) + "\n", 3),
+    "cells float() reads": ("event_id,m,x,y\na,1_000,+1.5, 2.5 \nb,\u0661\u0662,\t3.0,"
+                            "\u00a04.0\u3000\n", 0),
+    "ids of any text": ("event_id,m,x,y\n \u00e9 x ,1.0,2.0,3.0\n,4.0,5.0,6.0\n", 1),
+    "nan": ("event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\nc,1.0,nan,3.0\n", 1),
+    "inf": ("event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\nc,1.0,2.0,-inf\n", 1),
+    "overflow": ("event_id,m,x,y\na,1e400,2.0,3.0\n", 0),
+    "too many cells": ("event_id,m,x,y\na,1.0,2.0,3.0,4.0\nb,1.0,2.0\n", 0),
+    "too few cells": ("event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0\n", 0),
+    "empty cell": ("event_id,m,x,y\na,1.0,2.0,\n", 0),
+    "not a number": ("event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\nc,1.0,fish,3.0\n", 1),
+    "bad cell in the second block": ("event_id,m,x,y\n" + "\n".join(_ROWS[:2])
+                                     + "\nc,1.0,0x1p3,3.0\n", 1),
+    "separator numpy takes as space": ("event_id,m,x,y\na,1.0,\x1f2.0,3.0\n", 0),
+    "nul in an id": ("event_id,m,x,y\na\x00,1.0,2.0,3.0\n", 0),
+    "long id": ("event_id,m,x,y\n" + "a" * 140000 + ",1.0,2.0,3.0\n", 0),
+    "header only": ("event_id,m,x,y\n", 0),
+    "empty file": ("", 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_FEATURES_FILES))
+def test_block_parse_reads_as_row_by_row(tmp_path, name):
+    text, blocks_taken = _FEATURES_FILES[name]
+    path = tmp_path / "features.csv"
+    path.write_bytes(text.encode())
+    for block_lines in (2, 65536):
+        fast, slow, taken = _read_both_ways(path, block_lines)
+        assert fast == slow
+        if block_lines == 2:
+            assert taken == blocks_taken
+    if name == "bad cell in the second block":
+        assert fast == f"InputError: {path} line 4, column 'x': not a number: '0x1p3'"
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([repr, "{:.17g}".format, "{:.25g}".format])),
+                min_size=1, max_size=30))
+@example([(5e-324, -2.2250738585072014e-308, repr), (1.7976931348623157e308, -0.0, repr)])
+def test_block_parse_reads_float_bits(tmp_path_factory, rows):
+    # subnormals, signed zeros and the largest doubles, written at
+    # shortest round trip and at other precisions
+    path = tmp_path_factory.mktemp("io") / "features.csv"
+    path.write_text("event_id,m,x\n" + "".join(
+        f"{i},{fmt(m)},{fmt(x)}\n" for i, (m, x, fmt) in enumerate(rows)))
+    fast, slow, taken = _read_both_ways(path, 8)
+    assert fast == slow
+    assert taken == -(-len(rows) // 8)
+    values = [float(fmt(v)) for m, x, fmt in rows for v in (m, x)]
+    assert fast[3] + fast[4] == b"".join(
+        np.array(values[k::2]).tobytes() for k in (0, 1))
+
+
+def test_undecodable_byte_after_a_bad_cell(tmp_path):
+    # the row-by-row parse reports the bad cell at line 3, met before the
+    # byte that does not decode: so does the block parse
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"event_id,m,x\n1,0.5,1.0\n2,0.5,fish\n"
+                     + b"3,0.5,1.0\n" * 5000 + b"4,0.5,\xff\n")
+    fast, slow, _ = _read_both_ways(path, 65536)
+    assert fast == slow == f"InputError: {path} line 3, column 'x': not a number: 'fish'"
 
 
 def test_scores_and_scan_files(tmp_path, toy_model, toy_dataset):

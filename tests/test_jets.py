@@ -148,13 +148,31 @@ def test_particle_validation():
         with pytest.raises(InputError, match=r"particle \|eta\| too large"):
             Particle(pt=pt, eta=eta, phi=0.0)
     # so must the energy: at pt = 1, pz^2 overflows between eta 355 and 356
-    assert Particle(pt=1.0, eta=355.0, phi=0.0).four_momentum()[0] == math.sinh(355.0)
     for pt, eta, mass in ((1.0, 356.0, 0.0), (1.0, -700.0, 0.0), (1e160, 0.0, 0.0),
                           (1.0, 0.0, 1e160)):
         with pytest.raises(InputError, match="particle energy overflows"):
             Particle(pt=pt, eta=eta, phi=0.0, mass=mass)
     assert Particle(pt=10.0, eta=0.0, phi=1.5 * math.pi).phi == pytest.approx(
         -0.5 * math.pi)
+
+
+def test_particle_momentum_bounds():
+    # pt in [1e-150, 1e140] keeps pt^2 and pt^-2 finite normal doubles, and
+    # pt, |pz| and mass up to 1e140 keep summed momenta finite when squared
+    Particle(pt=1e-150, eta=0.0, phi=0.0)
+    Particle(pt=1e140, eta=0.0, phi=0.0, mass=1e140)
+    # at pt = 1, |pz| = sinh(eta) reaches 1e140 at eta = 323.06
+    assert Particle(pt=1.0, eta=323.0, phi=0.0).four_momentum()[0] == math.sinh(323.0)
+    for kwargs, message in (
+            (dict(pt=math.nextafter(1e-150, 0.0)), "particle pt below 1e-150"),
+            (dict(pt=1e-160), "particle pt below 1e-150"),
+            (dict(pt=math.nextafter(1e140, math.inf)), "particle pt above 1e"),
+            (dict(pt=1.3e154), "particle pt above 1e"),
+            (dict(pt=1.0, eta=-324.0), r"particle \|pz\| = \|pt \* sinh\(eta\)\| above 1e"),
+            (dict(pt=1e20, eta=300.0), r"particle \|pz\|"),
+            (dict(pt=1.0, mass=math.nextafter(1e140, math.inf)), "particle mass above 1e")):
+        with pytest.raises(InputError, match=message):
+            Particle(**{"eta": 0.0, "phi": 0.0, **kwargs})
 
 
 def test_extract_features_two_clear_jets():

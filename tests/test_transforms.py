@@ -340,7 +340,7 @@ def test_stacked_build_matches_from_knots_bit_for_bit(knots, floor):
     # KnotTable's build: one _checked_slopes call per knot count
     table = KnotTable(knots, floor)
     assert table.floor == floor
-    _, _, _, d0, c2, c3 = table.segments
+    _, _, _, d0, c2, c3 = table.segments.T
     for b, (x, y) in enumerate(knots):
         t = Marginal1DTransform.from_knots(x, y, derivative_floor=floor)
         _assert_same_bits(table.knots(b), (x, y))
