@@ -191,15 +191,16 @@ def test_readers_reject_undecodable_bytes(tmp_path):
 
 
 def _read_both_ways(path, block_lines):
-    """read_features's result, or its InputError message, through the
-    block parse (block_lines lines a block) and through the row-by-row
-    parse alone; and how many blocks the block parse took."""
+    """read_features's result, or its error, through the block parse
+    (block_lines lines a block) and through the row-by-row parse alone;
+    and how many blocks the block parse took."""
     taken = []
+    parse_block = dataio._parse_block
 
-    def read(parse_block):
+    def read(parse):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "_PARSE_LINES", block_lines)
-            mp.setattr(dataio, "_parse_block", parse_block)
+            mp.setattr(dataio, "_parse_block", parse)
             try:
                 t = read_features(str(path))
             except (InputError, csv.Error) as exc:  # csv's field limit
@@ -212,7 +213,6 @@ def _read_both_ways(path, block_lines):
         taken.append(parsed is not None)
         return parsed
 
-    parse_block = dataio._parse_block
     return read(counted), read(lambda lines, width: None), sum(taken)
 
 
