@@ -4,8 +4,8 @@ Formats (all comma-separated with a header row):
 
 * particles: event_id,pt,eta,phi[,mass] - rows of one event are
   consecutive; mass defaults to 0 when the column is absent.  An event is
-  read as an (n, 4) float array of pt, eta, phi and mass, checked row by
-  row and with phi as written.
+  read as an (n, 4) float array of pt, eta, phi and mass, with phi as
+  written, each row checked by jets.check_particle in file order.
 * features:  event_id,<conditional>,<feature...> - first data column is
   the conditional (m_jj for dijet data), the rest are model features.
 * labels:    event_id,is_signal - kept separate from features.
@@ -40,16 +40,12 @@ SCAN_COLUMNS = ("m_lo", "m_hi", "count", "alpha_max", "alpha_p99")
 
 # rows converted to Python numbers at a time by _number_rows
 _BLOCK_ROWS = 4096
-# features lines parsed at a time by _parse_block
+# lines of an input file parsed at a time by _parse_block
 _PARSE_LINES = 1024
 # characters that send a block to the row-by-row parse: a quote (csv
 # quoting), NUL (refused by some Pythons' csv), and U+001C..U+001F, which
 # numpy's parser takes as whitespace around a number and float() does not
 _ROW_BY_ROW_CHARS = '"\x00\x1c\x1d\x1e\x1f'
-
-
-def _fnum(x) -> str:
-    return repr(float(x))
 
 
 def _quote(field: str) -> str:
@@ -142,14 +138,13 @@ def write_features(path, event_ids, conditional_name, conditionals,
     return len(event_ids)
 
 
-def _parse_block(lines, width):
-    """(ids, values) of a block of features lines as the row-by-row parse
-    reads them, or None where that parse is needed: a quote, NUL or
-    U+001C..U+001F, a CR not followed by LF, a row of other than width
-    cells (a whitespace-only line is a row of one), a line longer than
-    csv's field limit, or a cell that np.loadtxt does not take as a
-    finite number.  np.loadtxt converts cells with the correctly rounded
-    string-to-double of float(), so the values are float()'s bits."""
+def _parse_block(lines, width, line_no):
+    """(line numbers, ids, values) of the rows of a block of lines from
+    line_no, as the row-by-row parse reads them; None where that parse is
+    needed: a quote, NUL or U+001C..U+001F, a CR not followed by LF, a row
+    of other than width cells (a whitespace-only line is a row of one), a
+    line past csv's field limit, or a cell that np.loadtxt does not take
+    as a finite number.  np.loadtxt rounds each cell as float() does."""
     text = "".join(lines)
     limit = csv.field_size_limit()
     # a line holds one LF at most, at its end; one ended by a lone CR has none
@@ -160,12 +155,14 @@ def _parse_block(lines, width):
     # np.loadtxt ignores cells past usecols, so the comma count checks
     # that every row has width cells; csv skips blank lines
     commas = text.count(",")
+    line_nos = range(line_no, line_no + len(lines))
     if commas != len(lines) * (width - 1):
-        lines = [ln for ln in lines if ln != "\n" and ln != "\r\n"]
-        if commas != len(lines) * (width - 1):
+        kept = [(n, ln) for n, ln in zip(line_nos, lines) if ln != "\n" and ln != "\r\n"]
+        if commas != len(kept) * (width - 1):
             return None
-        if not lines:  # np.loadtxt warns on an empty block
-            return [], np.empty((0, width - 1))
+        if not kept:  # np.loadtxt warns on an empty block
+            return (), [], np.empty((0, width - 1))
+        line_nos, lines = zip(*kept)
     try:
         values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
                             usecols=range(1, width), ndmin=2)
@@ -173,55 +170,71 @@ def _parse_block(lines, width):
         return None
     if values.shape[0] != len(lines) or not np.isfinite(values).all():
         return None
-    return [ln.partition(",")[0] for ln in lines], values
+    return line_nos, [ln.partition(",")[0] for ln in lines], values
 
 
-def _read_rows(rows, header, path, line_no, ids, values) -> None:
-    """The row-by-row parse of features rows, numbered from line_no: each
-    row's id onto ids and its numbers onto values, or InputError naming
-    the first bad row, column and cell."""
-    for line_no, row in enumerate(rows, start=line_no):
+def _csv_records(lines, path, line_no):
+    """(line number, row) of each csv row of lines from line_no; a row csv
+    cannot read (a field past its limit) is an InputError naming its line."""
+    number = line_no - 1
+    try:
+        for number, row in enumerate(csv.reader(lines), start=line_no):
+            yield number, row
+    except csv.Error as exc:
+        raise InputError(f"{path} line {number + 1}: {exc}") from None
+
+
+def _read_rows(lines, header, path, line_no):
+    """The row-by-row parse of lines from line_no: one block a row, or
+    InputError naming the first bad row, column and cell."""
+    for line_no, row in _csv_records(lines, path, line_no):
         if not row:
             continue
         if len(row) != len(header):
             raise InputError(f"{path} line {line_no}: expected {len(header)} "
                              f"columns, got {len(row)}")
-        ids.append(row[0])
-        values.extend(_float_cells(row[1:], header[1:], path, line_no))
+        cells = _float_cells(row[1:], header[1:], path, line_no)
+        yield (line_no,), row[:1], np.array([cells])
 
 
-def read_features(path) -> FeatureTable:
-    """Read a features file, _PARSE_LINES lines at a time.  Each block is
-    parsed at once (_parse_block); from the first block that cannot be,
-    the rest of the file is read row by row, so a file reads the same
-    either way and every error names its line, column and cell."""
-    lines = _text_lines(path, "features")
-    header = next(csv.reader(lines), None)
+def _parsed_rows(path, kind):
+    """The header row of an input file, then blocks (line numbers, ids,
+    (rows, columns - 1) float array) of its rows: _PARSE_LINES lines a block
+    (_parse_block) until a block needs the row-by-row parse, then one row a
+    block.  Either way a file reads the same, and its errors come in order."""
+    lines = _text_lines(path, kind)
+    header = next(_csv_records(lines, path, 1), (1, None))[1]
     if header is None:
         raise InputError(f"{path}: empty file, expected a header row")
-    if len(header) < 3 or header[0] != "event_id":
-        raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
-    width = len(header)
-    ids = []
-    values = array("d")  # each row's conditional and features, end to end
+    yield header
     line_no = 2
     while True:
         block = []
         try:
             block.extend(islice(lines, _PARSE_LINES))
         except InputError:  # an undecodable byte: the lines before it come first
-            _read_rows(csv.reader(block), header, path, line_no, [], array("d"))
+            yield from _read_rows(block, header, path, line_no)
             raise
-        if not block:
-            break
-        parsed = _parse_block(block, width)
-        if parsed is None:
-            _read_rows(csv.reader(chain(block, lines)), header, path, line_no, ids, values)
-            break
-        ids.extend(parsed[0])
-        values.frombytes(parsed[1].tobytes())
+        parsed = block and _parse_block(block, len(header), line_no)
+        if not parsed:  # the end of the file, or the row-by-row parse's turn
+            yield from _read_rows(chain(block, lines), header, path, line_no)
+            return
+        yield parsed
         line_no += len(block)
-    table = np.frombuffer(values, dtype=float).reshape(-1, width - 1)
+
+
+def read_features(path) -> FeatureTable:
+    """Read a features file; an error names its line, column and cell."""
+    rows = _parsed_rows(path, "features")
+    header = next(rows)
+    if len(header) < 3 or header[0] != "event_id":
+        raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
+    ids = []
+    values = array("d")  # each row's conditional and features, end to end
+    for _, block_ids, block_values in rows:
+        ids.extend(block_ids)
+        values.frombytes(block_values.tobytes())
+    table = np.frombuffer(values, dtype=float).reshape(-1, len(header) - 1)
     return FeatureTable(event_ids=ids, conditional_name=header[1],
                         conditionals=table[:, 0].copy(), feature_names=header[2:],
                         features=np.ascontiguousarray(table[:, 1:]))
@@ -233,58 +246,44 @@ def write_labels(path, event_ids, labels) -> int:
     return len(event_ids)
 
 
-def _particle_rows(values) -> np.ndarray:
-    return np.frombuffer(values, dtype=float).reshape(-1, 4)
-
-
 def read_particle_events(path):
     """Yield (event_id, rows) for consecutive event_id groups.
 
     rows is an (n, 4) float array of each particle's pt, eta, phi and
     mass as read: phi is not wrapped (jets.Particle wraps it), and mass
-    is 0.0 when the file has no mass column.  Every row is checked here,
-    in file order: a cell that is not a finite number, a row that breaks
+    is 0.0 when the file has no mass column.  Rows are checked in file
+    order: a cell that is not a finite number, a row that breaks
     jets.check_particle, or an event_id whose rows resume after another
     event's is an InputError naming its line.
     """
-    reader = csv.reader(_text_lines(path, "particles"))
-    header = next(reader, None)
-    if header is None:
-        raise InputError(f"{path}: empty file, expected a header row")
-    has_mass = tuple(header) == PARTICLE_COLUMNS + ("mass",)
-    if not has_mass and tuple(header) != PARTICLE_COLUMNS:
-        raise InputError(f"{path}: expected header "
-                         f"{','.join(PARTICLE_COLUMNS)}[,mass]")
-    width = len(header)
+    rows = _parsed_rows(path, "particles")
+    header = tuple(next(rows))
+    has_mass = header == PARTICLE_COLUMNS + ("mass",)
+    if not has_mass and header != PARTICLE_COLUMNS:
+        raise InputError(f"{path}: expected header {','.join(PARTICLE_COLUMNS)}[,mass]")
     current_id = None
     seen = set()
-    values = array("d")  # the current event's rows, end to end
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise InputError(f"{path} line {line_no}: expected {width} columns, "
-                             f"got {len(row)}")
-        event_id = row[0]
-        cells = _float_cells(row[1:], header[1:], path, line_no)
-        if not has_mass:
-            cells.append(0.0)
-        try:
-            check_particle(*cells)
-        except InputError as exc:
-            raise InputError(f"{path} line {line_no}: {exc}") from None
-        if event_id != current_id:
-            if event_id in seen:
-                raise InputError(f"{path} line {line_no}: event_id {event_id!r} "
-                                 f"resumes after other events' rows")
-            seen.add(event_id)
-            if current_id is not None:
-                yield current_id, _particle_rows(values)
-            current_id = event_id
-            values = array("d")
-        values.extend(cells)
+    event_rows = []
+    for line_nos, ids, block in rows:
+        for line_no, event_id, cells in zip(line_nos, ids, block.tolist()):
+            if not has_mass:
+                cells.append(0.0)
+            try:
+                check_particle(*cells)
+            except InputError as exc:
+                raise InputError(f"{path} line {line_no}: {exc}") from None
+            if event_id != current_id:
+                if event_id in seen:
+                    raise InputError(f"{path} line {line_no}: event_id {event_id!r} "
+                                     f"resumes after other events' rows")
+                seen.add(event_id)
+                if current_id is not None:
+                    yield current_id, np.array(event_rows)
+                current_id = event_id
+                event_rows = []
+            event_rows.append(cells)
     if current_id is not None:
-        yield current_id, _particle_rows(values)
+        yield current_id, np.array(event_rows)
 
 
 def write_scores(path, event_ids, conditionals, report) -> int:
@@ -297,9 +296,9 @@ def write_scores(path, event_ids, conditionals, report) -> int:
 
 def write_scan(path, rows) -> int:
     _write_csv(path, SCAN_COLUMNS, ([
-        _fnum(row.m_lo), _fnum(row.m_hi), str(row.count),
-        "" if row.alpha_max is None else _fnum(row.alpha_max),
-        "" if row.alpha_p99 is None else _fnum(row.alpha_p99),
+        repr(float(row.m_lo)), repr(float(row.m_hi)), str(row.count),
+        "" if row.alpha_max is None else repr(float(row.alpha_max)),
+        "" if row.alpha_p99 is None else repr(float(row.alpha_p99)),
     ] for row in rows))
     return len(rows)
 

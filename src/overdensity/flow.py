@@ -340,36 +340,36 @@ def _fmt(values):
     return ("%.17g " * len(row))[:-1] % tuple(row)
 
 
-def save_model(model: FlowModel, path) -> None:
-    """Write the model as versioned plain text (17 significant digits)."""
-    lines = [MODEL_FORMAT_HEADER]
-    lines.append(f"dim {model.dim}")
-    lines.append(f"derivative_floor {format(model.derivative_floor, '.17g')}")
-    lines.append(f"shift {_fmt(model.shift)}")
-    lines.append(f"scale {_fmt(model.scale)}")
-    lines.append(f"edges {_fmt(model.binning.edges)}")
-    lines.append(f"centers {_fmt(model.binning.centers)}")
+def _model_lines(model: FlowModel):
+    """The lines of save_model's text, without their ends, made one at a time."""
     n_slices = model.layers[0].weights.shape[1] if model.layers else 0
-    lines.append(f"layers {len(model.layers)} slices {n_slices}")
+    yield from (MODEL_FORMAT_HEADER, f"dim {model.dim}",
+                f"derivative_floor {format(model.derivative_floor, '.17g')}",
+                f"shift {_fmt(model.shift)}", f"scale {_fmt(model.scale)}",
+                f"edges {_fmt(model.binning.edges)}", f"centers {_fmt(model.binning.centers)}",
+                f"layers {len(model.layers)} slices {n_slices}")
     for i, layer in enumerate(model.layers):
-        lines.append(f"layer {i}")
+        yield f"layer {i}"
+        yield from map(_fmt, layer.weights)
         # every knots_out row holds the same normal quantiles: format each
         # distinct knot row of the layer once, keyed on its bytes
         knot_lines = {}
-        for row in layer.weights:
-            lines.append(_fmt(row))
         for b in range(model.binning.n_bins):
             for k, table in enumerate(layer.tables):
                 knots_in, knots_out = table.knots(b)
-                lines.append(f"transform {b} {k} {knots_in.size}")
+                yield f"transform {b} {k} {knots_in.size}"
                 for row in (knots_in, knots_out):
                     key = row.tobytes()
                     if key not in knot_lines:
                         knot_lines[key] = _fmt(row)
-                    lines.append(knot_lines[key])
-    lines.append("end")
+                    yield knot_lines[key]
+    yield "end"
+
+
+def save_model(model: FlowModel, path) -> None:
+    """Write the model as versioned plain text (17 significant digits)."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in _model_lines(model))
 
 
 def load_model(path) -> FlowModel:

@@ -143,20 +143,28 @@ def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, line, replaceme
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("which", ["model", "features"])
+@pytest.mark.parametrize("which", ["model", "features", "long id"])
 def test_undecodable_byte_exits_1(pipeline_dir, tmp_path, capsys, which):
+    # "long id" appends a features row whose id is past csv's field limit
     paths = {"model": pipeline_dir / "model.txt",
              "features": pipeline_dir / "data" / "features.csv"}
-    data = bytearray(paths[which].read_bytes())
-    data[len(data) // 2] = 0xFF
-    paths[which] = tmp_path / paths[which].name
-    paths[which].write_bytes(bytes(data))
+    name = "features" if which == "long id" else which
+    data = bytearray(paths[name].read_bytes())
+    if which == "long id":
+        data += b"a" * 140000 + b",0.5,0.5\r\n"
+    else:
+        data[len(data) // 2] = 0xFF
+    paths[name] = tmp_path / paths[name].name
+    paths[name].write_bytes(bytes(data))
     code = main(["score", "--features", str(paths["features"]),
                  "--model", str(paths["model"]), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    if which == "long id":
+        assert err.endswith("line 2022: field larger than field limit (131072)\n")
 
 
 def test_unknown_config_key_exits_2(pipeline_dir, tmp_path, capsys):
@@ -356,6 +364,8 @@ def test_particle_energy_overflow_exits_1(monkeypatch, tmp_path, capsys):
     (["ev0,1e-160,0.0,0.0,0.0", "ev0,1e-160,0.1,0.1,0.0"], "particle pt below 1e-150"),
     # each has a finite energy, but their merged jet had pt = inf
     (["ev0,1.3e154,0.0,0.0,0.0", "ev0,1.3e154,0.0,0.0,0.0"], "particle pt above 1e+140"),
+    # an id past csv's field limit is an input error, not a csv traceback
+    (["e" * 140000 + ",50.0,0.0,0.0,0.0"], "field larger than field limit (131072)"),
 ])
 def test_particle_momentum_bounds_exit_1(monkeypatch, tmp_path, capsys, rows, message):
     particles = tmp_path / "particles.csv"

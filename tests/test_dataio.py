@@ -190,8 +190,19 @@ def test_readers_reject_undecodable_bytes(tmp_path):
         read_features(str(path))
 
 
-def _read_both_ways(path, block_lines):
-    """read_features's result, or its error, through the block parse
+def _features(path):
+    t = read_features(path)
+    return (t.event_ids, t.conditional_name, t.feature_names,
+            t.conditionals.tobytes(), t.features.tobytes(), t.features.shape)
+
+
+def _particle_events(path):
+    return [(event_id, rows.tobytes(), rows.shape)
+            for event_id, rows in read_particle_events(path)]
+
+
+def _read_both_ways(path, block_lines, reader=_features):
+    """reader's result for path, or its error, through the block parse
     (block_lines lines a block) and through the row-by-row parse alone;
     and how many blocks the block parse took."""
     taken = []
@@ -202,18 +213,16 @@ def _read_both_ways(path, block_lines):
             mp.setattr(dataio, "_PARSE_LINES", block_lines)
             mp.setattr(dataio, "_parse_block", parse)
             try:
-                t = read_features(str(path))
-            except (InputError, csv.Error) as exc:  # csv's field limit
-                return f"{type(exc).__name__}: {exc}"
-        return (t.event_ids, t.conditional_name, t.feature_names,
-                t.conditionals.tobytes(), t.features.tobytes(), t.features.shape)
+                return reader(str(path))
+            except InputError as exc:
+                return f"InputError: {exc}"
 
-    def counted(lines, width):
-        parsed = parse_block(lines, width)
+    def counted(*args):
+        parsed = parse_block(*args)
         taken.append(parsed is not None)
         return parsed
 
-    return read(counted), read(lambda lines, width: None), sum(taken)
+    return read(counted), read(lambda *args: None), sum(taken)
 
 
 _ROWS = ["a,1.5,2.0,-3.25", "b,1e-300,5e-324,-0.0", "c,2750.0,0.1,1e300",
@@ -249,8 +258,18 @@ _FEATURES_FILES = {
     "separator numpy takes as space": ("event_id,m,x,y\na,1.0,\x1f2.0,3.0\n", 0),
     "nul in an id": ("event_id,m,x,y\na\x00,1.0,2.0,3.0\n", 0),
     "long id": ("event_id,m,x,y\n" + "a" * 140000 + ",1.0,2.0,3.0\n", 0),
+    "long cell after good rows": ("event_id,m,x,y\n" + "\n".join(_ROWS[:3])
+                                  + "\nd,1.0," + "1" * 140000 + ",3.0\n", 1),
     "header only": ("event_id,m,x,y\n", 0),
     "empty file": ("", 0),
+}
+# the errors of some of those files, after "InputError: {path} "
+_FEATURES_ERRORS = {
+    "bad cell in the second block": "line 4, column 'x': not a number: '0x1p3'",
+    # csv raises before the row is numbered: the line is the one after the
+    # last row read, or the first if none was
+    "long id": "line 2: field larger than field limit (131072)",
+    "long cell after good rows": "line 5: field larger than field limit (131072)",
 }
 
 
@@ -264,8 +283,60 @@ def test_block_parse_reads_as_row_by_row(tmp_path, name):
         assert fast == slow
         if block_lines == 2:
             assert taken == blocks_taken
-    if name == "bad cell in the second block":
-        assert fast == f"InputError: {path} line 4, column 'x': not a number: '0x1p3'"
+    if name in _FEATURES_ERRORS:
+        assert fast == f"InputError: {path} {_FEATURES_ERRORS[name]}"
+
+
+_P = ["ev0,10.0,0.1,0.2", "ev0,20.0,-1.0,7.5", "ev0,30.0,2.0,-3.5",
+      "ev1,40.0,0.5,1.0", "ev1,1e-3,-0.5,-1.0"]
+# (text, blocks of 2 lines the block parse takes, error after
+# "InputError: {path} " or None): each particle file reads alike both ways
+_PARTICLE_FILES = {
+    "no mass column": ("\n".join(["event_id,pt,eta,phi", *_P]) + "\n", 3, None),
+    "mass column, event across a block boundary": (
+        "\n".join(["event_id,pt,eta,phi,mass", *(r + ",0.5" for r in _P)]) + "\n", 3, None),
+    "bad particle in the second block": (
+        "\n".join(["event_id,pt,eta,phi", *_P[:2], "ev1,0.0,0.0,0.0", *_P[3:]]) + "\n",
+        2, "line 4: particle pt must be positive"),
+    "blank lines before a bad particle": (
+        "event_id,pt,eta,phi,mass\nev0,10.0,0.1,0.2,0.0\n\n\r\nev0,10.0,0.1,0.2,-1.0\n",
+        2, "line 5: particle mass must be non-negative"),
+    "event_id resuming across a block boundary": (
+        "\n".join(["event_id,pt,eta,phi", *_P[:3], "ev1,1.0,0.0,0.0", "ev0,1.0,0.0,0.0"])
+        + "\n", 3, "line 6: event_id 'ev0' resumes after other events' rows"),
+    "quoted id in the second block": (
+        "\n".join(["event_id,pt,eta,phi", *_P[:2], '"ev0",30.0,2.0,-3.5', *_P[3:]])
+        + "\n", 1, None),
+    "eta past sinh's range, row by row": (
+        "\n".join(["event_id,pt,eta,phi", *_P[:2], '"ev1",5.0,-800.0,0.0']) + "\n",
+        1, "line 4: particle |eta| too large: pt * sinh(eta) overflows"),
+    "not a number": ("\n".join(["event_id,pt,eta,phi", *_P[:2], "ev1,5.0,fish,0.0"])
+                     + "\n", 1, "line 4, column 'eta': not a number: 'fish'"),
+    "too few cells": ("\n".join(["event_id,pt,eta,phi,mass", "ev0,1.0,0.0,0.0"]) + "\n",
+                      0, "line 2: expected 5 columns, got 4"),
+    "long id after good rows": ("\n".join(["event_id,pt,eta,phi", *_P[:3]]) + "\n"
+                                + "e" * 140000 + ",1.0,0.0,0.0\n",
+                                1, "line 5: field larger than field limit (131072)"),
+    "long header": ("event_id,pt,eta," + "p" * 140000 + "\n" + _P[0] + "\n", 0,
+                    "line 1: field larger than field limit (131072)"),
+    "header only": ("event_id,pt,eta,phi\n", 0, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARTICLE_FILES))
+def test_particle_block_parse_reads_as_row_by_row(tmp_path, name):
+    text, blocks_taken, error = _PARTICLE_FILES[name]
+    path = tmp_path / "particles.csv"
+    path.write_bytes(text.encode())
+    for block_lines in (2, 65536):
+        fast, slow, taken = _read_both_ways(path, block_lines, _particle_events)
+        assert fast == slow
+        if block_lines == 2:
+            assert taken == blocks_taken
+    if error is None:
+        assert all(rows_shape[1] == 4 for _, _, rows_shape in fast)
+    else:
+        assert fast == f"InputError: {path} {error}"
 
 
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
@@ -295,6 +366,12 @@ def test_undecodable_byte_after_a_bad_cell(tmp_path):
                      + b"3,0.5,1.0\n" * 5000 + b"4,0.5,\xff\n")
     fast, slow, _ = _read_both_ways(path, 65536)
     assert fast == slow == f"InputError: {path} line 3, column 'x': not a number: 'fish'"
+    # and so does the particle rule of a row parsed before the byte
+    path.write_bytes(b"event_id,pt,eta,phi\n1,5.0,0.5,1.0\n2,-5.0,0.5,1.0\n"
+                     + b"3,5.0,0.5,1.0\n" * 5000 + b"4,5.0,0.5,\xff\n")
+    for block_lines in (2, 65536):
+        fast, slow, _ = _read_both_ways(path, block_lines, _particle_events)
+        assert fast == slow == f"InputError: {path} line 3: particle pt must be positive"
 
 
 def test_scores_and_scan_files(tmp_path, toy_model, toy_dataset):
