@@ -27,8 +27,6 @@ from overdensity import (
     summarize,
 )
 
-FEATURE_NAMES = ["m_jj", "m_j1", "dm", "tau21_1", "tau21_2"]
-
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -77,7 +75,8 @@ def main() -> None:
         sel = order[in_window[order]][:100]
         thr = None
     label = f"alpha > {thr:g}" if thr is not None else "top-100 alpha"
-    summary = summarize(dataset.event_arrays(), sel, FEATURE_NAMES)
+    summary = summarize(dataset.event_arrays(), sel,
+                        [dataset.conditional_name, *dataset.feature_names])
     is_signal = dataset.labels == 1
     print(f"{label} in window ({window[0]:.0f}, {window[1]:.0f}): "
           f"{sel.size} events, purity {np.mean(is_signal[sel]):.2f}")

@@ -33,8 +33,6 @@ try:
 except metadata.PackageNotFoundError:  # running from a source tree
     VERSION = "0.1.0"
 
-FEATURE_WINDOW = (2250.0, 4750.0)
-
 
 # -- config file ---------------------------------------------------------------
 
@@ -240,9 +238,10 @@ def cmd_features(args) -> int:
                 ids.append(event_id)
                 rows.append(row)
 
-    matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 5))
+    names = synth.LHC_FEATURE_NAMES
+    matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 1 + len(names)))
     written = _atomic_write(args.out, lambda p: dataio.write_features(
-        p, ids, "m_jj", matrix[:, 0], ["m_j1", "dm", "tau21_1", "tau21_2"], matrix[:, 1:]))
+        p, ids, synth.LHC_CONDITIONAL_NAME, matrix[:, 0], names, matrix[:, 1:]))
     dataio.write_manifest(f"{args.out}.manifest.json", {
         "command": "features",
         "version": VERSION,
@@ -402,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--out", required=True)
     p_feat.add_argument("--radius", type=float, default=1.0)
     p_feat.add_argument("--eta-max", type=float, default=2.5)
-    p_feat.add_argument("--window", type=float, nargs=2, default=list(FEATURE_WINDOW),
+    p_feat.add_argument("--window", type=float, nargs=2,
+                        default=list(synth.LhcLikeConfig.m_window),
                         metavar=("LO", "HI"), help="keep events with LO < m_jj < HI")
     p_feat.add_argument("--no-window", action="store_true")
     p_feat.set_defaults(func=cmd_features)

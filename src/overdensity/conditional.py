@@ -55,21 +55,21 @@ class ConditionalBinning:
         return clamped, (m < self.edges[0]) | (m > self.edges[-1])
 
     def interp_weights(self, m):
-        """Interpolation structure for conditionals: (lo, hi, t, clamped).
+        """Interpolation structure for conditionals: (lo, hi, t).
 
         The effective transform at m is (1 - t) * bin[lo] + t * bin[hi];
         t is exactly 0.0 at bin centers and outside the center range.
-        lo, hi and t depend on m only through np.clip(m, centers[0],
-        centers[-1]), bit for bit; clamped is clamp(m)'s flag.
+        lo, hi and t are computed from np.clip(m, centers[0], centers[-1]),
+        so t lies in [0, 1]; clamp(m) flags values outside the trained range.
         """
-        mc, clamped = self.clamp(m)
         c = self.centers
-        lo = np.clip(np.searchsorted(c, mc, side="right") - 1, 0, self.n_bins - 1)
+        mc = np.clip(m, c[0], c[-1])
+        lo = np.searchsorted(c, mc, side="right") - 1
         hi = np.minimum(lo + 1, self.n_bins - 1)
         span = c[hi] - c[lo]
         safe = np.where(span > 0, span, 1.0)
-        t = np.clip(np.where(span > 0, (mc - c[lo]) / safe, 0.0), 0.0, 1.0)
-        return lo, hi, t, clamped
+        t = np.where(span > 0, (mc - c[lo]) / safe, 0.0)
+        return lo, hi, t
 
 
 def build_binning(m_values, n_bins: int, min_occupancy: int = 2) -> ConditionalBinning:

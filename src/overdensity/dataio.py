@@ -129,22 +129,20 @@ class FeatureTable:
 
 def write_features(path, event_ids, conditional_name, conditionals,
                    feature_names, features) -> int:
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[:, None]
     _write_csv(path, ["event_id", conditional_name, *feature_names],
                _number_rows(event_ids, np.asarray(conditionals, dtype=float),
-                            *features.T))
+                            *np.asarray(features, dtype=float).T))
     return len(event_ids)
 
 
 def _parse_block(lines, width, line_no):
     """(line numbers, ids, values) of the rows of a block of lines from
     line_no, as the row-by-row parse reads them; None where that parse is
-    needed: a quote, NUL or U+001C..U+001F, a CR not followed by LF, a row
-    of other than width cells (a whitespace-only line is a row of one), a
-    line past csv's field limit, or a cell that np.loadtxt does not take
-    as a finite number.  np.loadtxt rounds each cell as float() does."""
+    needed: a quote, NUL or U+001C..U+001F, a CR not followed by LF, a
+    blank line, a row of other than width cells (a whitespace-only line is
+    a row of one), a line past csv's field limit, or a cell that
+    np.loadtxt does not take as a finite number.  np.loadtxt rounds each
+    cell as float() does."""
     text = "".join(lines)
     limit = csv.field_size_limit()
     # a line holds one LF at most, at its end; one ended by a lone CR has none
@@ -153,16 +151,9 @@ def _parse_block(lines, width, line_no):
             or len(text) > limit and max(map(len, lines)) > limit):
         return None
     # np.loadtxt ignores cells past usecols, so the comma count checks
-    # that every row has width cells; csv skips blank lines
-    commas = text.count(",")
-    line_nos = range(line_no, line_no + len(lines))
-    if commas != len(lines) * (width - 1):
-        kept = [(n, ln) for n, ln in zip(line_nos, lines) if ln != "\n" and ln != "\r\n"]
-        if commas != len(kept) * (width - 1):
-            return None
-        if not kept:  # np.loadtxt warns on an empty block
-            return (), [], np.empty((0, width - 1))
-        line_nos, lines = zip(*kept)
+    # that every row has width cells (a blank line has none)
+    if text.count(",") != len(lines) * (width - 1):
+        return None
     try:
         values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
                             usecols=range(1, width), ndmin=2)
@@ -170,18 +161,20 @@ def _parse_block(lines, width, line_no):
         return None
     if values.shape[0] != len(lines) or not np.isfinite(values).all():
         return None
-    return line_nos, [ln.partition(",")[0] for ln in lines], values
+    return range(line_no, line_no + len(lines)), [ln.partition(",")[0] for ln in lines], values
 
 
 def _csv_records(lines, path, line_no):
-    """(line number, row) of each csv row of lines from line_no; a row csv
-    cannot read (a field past its limit) is an InputError naming its line."""
-    number = line_no - 1
+    """(line number, row) of each csv row of lines from line_no, numbered
+    by the line the row ends on (a quoted field may hold line ends); a row
+    csv cannot read (a field past its limit) is an InputError naming the
+    line it stopped on."""
+    reader = csv.reader(lines)
     try:
-        for number, row in enumerate(csv.reader(lines), start=line_no):
-            yield number, row
+        for row in reader:
+            yield line_no - 1 + reader.line_num, row
     except csv.Error as exc:
-        raise InputError(f"{path} line {number + 1}: {exc}") from None
+        raise InputError(f"{path} line {line_no - 1 + reader.line_num}: {exc}") from None
 
 
 def _read_rows(lines, header, path, line_no):

@@ -158,7 +158,7 @@ class FlowModel:
         plan order and puts them back at the end.
         """
         X, mv = self._as_batch(x, m)
-        lo, hi, t, _ = self.binning.interp_weights(mv)
+        lo, hi, t = self.binning.interp_weights(mv)
         plan = InterpPlan(lo, hi, t)
         Z = (X[plan.order] - self.shift) / self.scale
         log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
@@ -169,7 +169,7 @@ class FlowModel:
     def inverse(self, z, m):
         """Map latent vectors back to data space."""
         X, mv = self._as_batch(z, m)
-        lo, hi, t, _ = self.binning.interp_weights(mv)
+        lo, hi, t = self.binning.interp_weights(mv)
         for layer in reversed(self.layers):
             W = layer.weights
             Y_out = X @ W
@@ -295,7 +295,7 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
         raise FitError(f"conditional bin {b} [{binning.edges[b]:g}, "
                        f"{binning.edges[b + 1]:g}] has {counts[b]} samples; "
                        f"needs >= {min_per_bin}")
-    lo, hi, t, _ = binning.interp_weights(m)
+    lo, hi, t = binning.interp_weights(m)
     plan = InterpPlan(lo, hi, t)
     # the fit runs on the rows in plan order: every step below sorts its
     # sample or maps each row on its own, so the model does not change
@@ -305,26 +305,25 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
 
     layers = []
     progress = []
-    if config.n_iterations > 0:
-        seeds = np.random.SeedSequence(config.rng_seed).generate_state(
-            config.n_iterations, dtype=np.uint64)
-        workers = min(_cpu_count(), config.n_candidates + 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i in range(config.n_iterations):
-                W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
-                                                 int(seeds[i]), pool, workers)
-                # one contiguous row per slice, projected as _apply_layer does
-                Yt = np.ascontiguousarray((Z @ W).T)
-                tables = [KnotTable([fit_marginal_transform(y[rows], config.n_knots)
-                                     for rows in bin_rows], config.derivative_floor)
-                          for y in Yt]
-                layer = GisLayer(weights=W, tables=tables)
-                Z, P = _apply_layer(layer, Z, plan)
-                after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
-                layers.append(layer)
-                progress.append((before, after))
-                if on_iteration is not None:
-                    on_iteration(i, before, after)
+    seeds = np.random.SeedSequence(config.rng_seed).generate_state(
+        config.n_iterations, dtype=np.uint64)
+    workers = min(_cpu_count(), config.n_candidates + 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in range(config.n_iterations):
+            W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
+                                             int(seeds[i]), pool, workers)
+            # one contiguous row per slice, projected as _apply_layer does
+            Yt = np.ascontiguousarray((Z @ W).T)
+            tables = [KnotTable([fit_marginal_transform(y[rows], config.n_knots)
+                                 for rows in bin_rows], config.derivative_floor)
+                      for y in Yt]
+            layer = GisLayer(weights=W, tables=tables)
+            Z, P = _apply_layer(layer, Z, plan)
+            after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
+            layers.append(layer)
+            progress.append((before, after))
+            if on_iteration is not None:
+                on_iteration(i, before, after)
 
     return FlowModel(dim=d, shift=shift, scale=scale, binning=binning,
                      layers=layers, derivative_floor=config.derivative_floor,

@@ -50,9 +50,9 @@ def wrap_phi(phi):
 def check_particle(pt, eta, phi, mass):
     """Raise InputError unless (pt, eta, phi, mass) is a particle the
     clusterer can take: every value finite, pt > 0, mass >= 0,
-    pz = pt * sinh(eta) a finite double, and so is the energy that
-    Particle.four_momentum computes; then pt in [_PT_MIN, _MOMENTUM_MAX],
-    and |pz| and mass at most _MOMENTUM_MAX."""
+    pz = pt * sinh(eta) a finite double, pt in [_PT_MIN, _MOMENTUM_MAX],
+    and |pz| and mass at most _MOMENTUM_MAX, so that the energy
+    Particle.four_momentum computes is finite."""
     if not (math.isfinite(pt) and math.isfinite(eta)
             and math.isfinite(phi) and math.isfinite(mass)):
         raise InputError("particle kinematics must be finite")
@@ -66,11 +66,6 @@ def check_particle(pt, eta, phi, mass):
         pz = math.inf
     if not math.isfinite(pz):
         raise InputError("particle |eta| too large: pt * sinh(eta) overflows")
-    # below this bound each of the energy's four squares is at most about
-    # 1e300, so their sum is finite
-    if max(pt, abs(pz), mass) > 1e150 and not math.isfinite(
-            _four_momentum(pt, eta, wrap_phi(phi), mass)[0]):
-        raise InputError("particle energy overflows: pt, pz or mass too large")
     if pt < _PT_MIN:
         raise InputError(f"particle pt below {_PT_MIN:g}: 1/pt^2 overflows")
     if pt > _MOMENTUM_MAX:

@@ -38,16 +38,6 @@ class LabeledDataset:
     feature_names: tuple
     conditional_name: str
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim == 1:
-            self.features = self.features[:, None]
-        self.conditionals = np.asarray(self.conditionals, dtype=float).ravel()
-        self.labels = np.asarray(self.labels, dtype=int).ravel()
-        n = self.features.shape[0]
-        if self.conditionals.size != n or self.labels.size != n:
-            raise ConfigError("features, conditionals and labels must align")
-
     @property
     def n_events(self) -> int:
         return self.features.shape[0]
@@ -62,8 +52,8 @@ class ToyConfig:
     """Uniform-m background with linear drift and a planted Gaussian blob.
 
     Background: m ~ U(m_range); x_d ~ N(intercept_d + slope_d * m, sigma_d).
-    Signal: m ~ N(signal_m, signal_m_width); x ~ N(center, signal_x_width)
-    where the center defaults to the background ridge at signal_m, making
+    Signal: m ~ N(signal_m, signal_m_width); x ~ N(mean(signal_m),
+    signal_x_width), centred on the background ridge at signal_m, making
     the blob a pure local over-density rather than an outlier.
     """
 
@@ -75,15 +65,12 @@ class ToyConfig:
     sigma: tuple = (1.0,)
     signal_m: float = 0.55
     signal_m_width: float = 0.01
-    signal_x: tuple | None = None
     signal_x_width: tuple = (0.03,)
 
     def __post_init__(self):
         d = len(self.slope)
         if not (len(self.intercept) == len(self.sigma) == len(self.signal_x_width) == d):
             raise ConfigError("slope, intercept, sigma and signal_x_width must share a length")
-        if self.signal_x is not None and len(self.signal_x) != d:
-            raise ConfigError("signal_x must match the feature dimension")
         if any(s <= 0 for s in self.sigma) or any(w <= 0 for w in self.signal_x_width):
             raise ConfigError("widths must be positive")
         if not self.m_range[1] > self.m_range[0]:
@@ -106,11 +93,6 @@ class ToyConfig:
         return np.asarray(self.intercept) + np.outer(np.atleast_1d(m), self.slope).reshape(
             m.shape + (self.dim,))
 
-    def signal_center(self):
-        if self.signal_x is not None:
-            return np.asarray(self.signal_x, dtype=float)
-        return self.mean(self.signal_m)
-
 
 def generate_toy(config: ToyConfig | None = None, seed: int = 0) -> LabeledDataset:
     """Draw the toy benchmark; deterministic for a given (config, seed)."""
@@ -122,7 +104,7 @@ def generate_toy(config: ToyConfig | None = None, seed: int = 0) -> LabeledDatas
     x_bg = cfg.mean(m_bg) + rng.standard_normal((cfg.n_background, d)) * np.asarray(cfg.sigma)
 
     m_sig = cfg.signal_m + cfg.signal_m_width * rng.standard_normal(cfg.n_signal)
-    x_sig = cfg.signal_center() + rng.standard_normal((cfg.n_signal, d)) \
+    x_sig = cfg.mean(cfg.signal_m) + rng.standard_normal((cfg.n_signal, d)) \
         * np.asarray(cfg.signal_x_width)
 
     X = np.vstack([x_bg, x_sig])

@@ -182,7 +182,7 @@ def test_each_distinct_density_row_is_evaluated_once(toy_model, toy_dataset, mon
     # first earlier row at t = 0 in the same lo bin
     offsets = np.concatenate([cfg.signal_quadrature()[0], cfg.background_quadrature()[0]])
     shifted = m[None, :] + offsets[:, None]
-    lo, _, t, _ = toy_model.binning.interp_weights(shifted)
+    lo, _, t = toy_model.binning.interp_weights(shifted)
     seen = set()
     rows = []
     for j in range(offsets.size):

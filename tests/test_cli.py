@@ -340,8 +340,8 @@ def test_particle_eta_beyond_sinh_range_exits_1(monkeypatch, tmp_path, capsys, e
 
 
 def test_particle_energy_overflow_exits_1(monkeypatch, tmp_path, capsys):
-    # pt = 1e160 keeps pz finite, but pt^2 overflows the energy; before the
-    # energy rule this file clustered into jets of infinite pt and exited 0
+    # pt = 1e160 keeps pz finite, but pt^2 overflows the energy; unchecked,
+    # this file clustered into jets of infinite pt and exited 0
     particles = tmp_path / "particles.csv"
     particles.write_text("event_id,pt,eta,phi,mass\n"
                          "ev0,1e160,0.0,0.0,0.0\n"
@@ -354,8 +354,7 @@ def test_particle_energy_overflow_exits_1(monkeypatch, tmp_path, capsys):
             "--particles", str(particles), "--out", str(out), "--no-window"]) == 1
         assert not out.exists()
         assert not (tmp_path / f"workers{workers}.csv.manifest.json").exists()
-        assert ("line 2: particle energy overflows: pt, pz or mass too large"
-                in capsys.readouterr().err)
+        assert "line 2: particle pt above 1e+140\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows, message", [

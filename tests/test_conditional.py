@@ -25,7 +25,7 @@ def _affine(scale, lo=-5.0, hi=5.0):
 
 def _apply(transforms, binning, y, m):
     """The per-bin family at conditionals m, as the flow evaluates it."""
-    lo, hi, t, _ = binning.interp_weights(np.atleast_1d(m))
+    lo, hi, t = binning.interp_weights(np.atleast_1d(m))
     return interpolate(knot_table(transforms), lo, hi, t,
                        np.broadcast_to(y, lo.shape).astype(float))
 
@@ -42,14 +42,15 @@ def test_two_bin_edges_by_hand():
 def test_interp_weights_by_hand():
     b = ConditionalBinning(edges=np.array([0.0, 4.5, 10.0]),
                            centers=np.array([2.75, 6.25]))
-    lo, hi, t, clamped = b.interp_weights(np.array([2.75, 4.5, 6.25, 0.0, 11.0]))
+    m = np.array([2.75, 4.5, 6.25, 0.0, 11.0])
+    lo, hi, t = b.interp_weights(m)
     assert list(lo) == [0, 0, 1, 0, 1]
     assert t[0] == 0.0  # exactly, at a bin center
     assert t[1] == pytest.approx(0.5)
     assert t[2] == 0.0
     assert t[3] == 0.0  # below the first center: edge bin, unmixed
     assert t[4] == 0.0
-    assert list(clamped) == [False, False, False, False, True]
+    assert list(b.clamp(m)[1]) == [False, False, False, False, True]
 
 
 def test_build_binning_errors():
@@ -109,7 +110,7 @@ def test_equal_occupancy(samples, n_bins):
 @given(values, st.floats(min_value=-1.2e4, max_value=1.2e4))
 def test_interp_weights_are_convex(samples, m):
     b = build_binning(np.asarray(samples), 4)
-    lo, hi, t, clamped = b.interp_weights(m)
+    lo, hi, t = b.interp_weights(m)
     assert 0.0 <= t <= 1.0
     assert lo <= hi <= lo + 1
 

@@ -237,11 +237,12 @@ _FEATURES_FILES = {
     "cr in the second block": ("event_id,m,x,y\n" + "\n".join(_ROWS[:3]) + "\r"
                                + "\n".join(_ROWS[3:]) + "\n", 1),
     "blank lines": ("event_id,m,x,y\n\na,1.0,2.0,3.0\r\n\r\n\n"
-                    "b,4.0,5.0,6.0\n\n", 3),
-    "only blank lines": ("event_id,m,x,y\n\n\r\n\n", 2),
+                    "b,4.0,5.0,6.0\n\n", 0),
+    "only blank lines": ("event_id,m,x,y\n\n\r\n\n", 0),
     "whitespace-only line": ("event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\n \t\n", 1),
     "quoted ids": ('event_id,m,x,y\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\n"c,1",1.0,2.0,3.0\n'
                    '"d""",4.0,5.0,6.0\n', 1),
+    "quoted newline in an id": ('event_id,m,x\n"a\nb",1.0,2.0\nc,1.0,fish\n', 0),
     "quoted header": ('"event_id","m",x,"y, z"\n' + "\n".join(_ROWS) + "\n", 3),
     "cells float() reads": ("event_id,m,x,y\na,1_000,+1.5, 2.5 \nb,\u0661\u0662,\t3.0,"
                             "\u00a04.0\u3000\n", 0),
@@ -265,9 +266,11 @@ _FEATURES_FILES = {
 }
 # the errors of some of those files, after "InputError: {path} "
 _FEATURES_ERRORS = {
+    # a row is numbered by the line it ends on
+    "quoted newline in an id": "line 4, column 'x': not a number: 'fish'",
     "bad cell in the second block": "line 4, column 'x': not a number: '0x1p3'",
-    # csv raises before the row is numbered: the line is the one after the
-    # last row read, or the first if none was
+    # csv raises before the row is complete: the line is the one it
+    # stopped reading on
     "long id": "line 2: field larger than field limit (131072)",
     "long cell after good rows": "line 5: field larger than field limit (131072)",
 }
@@ -300,7 +303,10 @@ _PARTICLE_FILES = {
         2, "line 4: particle pt must be positive"),
     "blank lines before a bad particle": (
         "event_id,pt,eta,phi,mass\nev0,10.0,0.1,0.2,0.0\n\n\r\nev0,10.0,0.1,0.2,-1.0\n",
-        2, "line 5: particle mass must be non-negative"),
+        0, "line 5: particle mass must be non-negative"),
+    "quoted newline in an id before a bad particle": (
+        'event_id,pt,eta,phi\nev0,10.0,0.1,0.2\n"e\nv",1.0,0.0,0.0\nev1,-1.0,0.0,0.0\n',
+        0, "line 5: particle pt must be positive"),
     "event_id resuming across a block boundary": (
         "\n".join(["event_id,pt,eta,phi", *_P[:3], "ev1,1.0,0.0,0.0", "ev0,1.0,0.0,0.0"])
         + "\n", 3, "line 6: event_id 'ev0' resumes after other events' rows"),

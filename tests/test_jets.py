@@ -10,6 +10,7 @@ from overdensity.errors import EventRejected, InputError
 from overdensity.jets import (
     Particle,
     _Cluster,
+    check_particle,
     cluster_antikt,
     extract_features,
     filter_jets,
@@ -147,10 +148,14 @@ def test_particle_validation():
     for pt, eta in ((1.0, 800.0), (1.0, -800.0), (1e300, 700.0)):
         with pytest.raises(InputError, match=r"particle \|eta\| too large"):
             Particle(pt=pt, eta=eta, phi=0.0)
-    # so must the energy: at pt = 1, pz^2 overflows between eta 355 and 356
-    for pt, eta, mass in ((1.0, 356.0, 0.0), (1.0, -700.0, 0.0), (1e160, 0.0, 0.0),
-                          (1.0, 0.0, 1e160)):
-        with pytest.raises(InputError, match="particle energy overflows"):
+    # so must the energy (at pt = 1, pz^2 overflows between eta 355 and
+    # 356); a momentum bound rejects every such particle
+    for pt, eta, mass, message in (
+            (1.0, 356.0, 0.0, r"particle \|pz\| = \|pt \* sinh\(eta\)\| above 1e\+140$"),
+            (1.0, -700.0, 0.0, r"particle \|pz\| = \|pt \* sinh\(eta\)\| above 1e\+140$"),
+            (1e160, 0.0, 0.0, r"particle pt above 1e\+140$"),
+            (1.0, 0.0, 1e160, r"particle mass above 1e\+140$")):
+        with pytest.raises(InputError, match=message):
             Particle(pt=pt, eta=eta, phi=0.0, mass=mass)
     assert Particle(pt=10.0, eta=0.0, phi=1.5 * math.pi).phi == pytest.approx(
         -0.5 * math.pi)
@@ -173,6 +178,25 @@ def test_particle_momentum_bounds():
             (dict(pt=1.0, mass=math.nextafter(1e140, math.inf)), "particle mass above 1e")):
         with pytest.raises(InputError, match=message):
             Particle(**{"eta": 0.0, "phi": 0.0, **kwargs})
+
+
+# magnitudes over the whole range up to 1e300, half drawn log-uniformly
+_magnitudes = st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e))
+
+
+@given(_magnitudes, st.floats(min_value=-800.0, max_value=800.0), st.floats(), _magnitudes)
+# particles whose energy overflows: pt, mass or |pz| is past its bound
+@example(1e160, 0.0, 0.0, 0.0)
+@example(1.0, 0.0, 0.0, 1e160)
+@example(1.0, -700.0, 0.0, 0.0)
+def test_accepted_particles_have_a_finite_four_momentum(pt, eta, phi, mass):
+    # the momentum bounds keep the energy finite without a rule of its own
+    try:
+        check_particle(pt, eta, phi, mass)
+    except InputError:
+        return
+    assert all(map(math.isfinite, Particle(pt, eta, phi, mass).four_momentum()))
 
 
 def test_extract_features_two_clear_jets():
