@@ -29,11 +29,13 @@ def main() -> None:
           f"({args.n_signal} signal at m={cfg.signal_m})")
 
     t0 = time.perf_counter()
+    progress = []
     model = fit_gis(dataset.features, dataset.conditionals,
                     FitConfig(n_iterations=args.iterations, n_conditional_bins=8,
-                              n_knots=32, n_candidates=16, rng_seed=args.seed))
+                              n_knots=32, n_candidates=16, rng_seed=args.seed),
+                    on_iteration=lambda i, before, after: progress.append((before, after)))
     print(f"fit took {time.perf_counter() - t0:.1f}s; slice-W1 "
-          f"{model.fit_progress[0][0]:.4f} -> {model.fit_progress[-1][1]:.4f}")
+          f"{progress[0][0]:.4f} -> {progress[-1][1]:.4f}")
 
     report = score_events(model, dataset.event_arrays(),
                           ScoreConfig(sigma=0.15, thresholds=(1.5, 2.5, 5.0)))

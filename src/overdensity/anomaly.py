@@ -59,10 +59,10 @@ class ScoreConfig:
             raise ConfigError("sigma must be positive and finite")
         if self.n_quad < 2:
             raise ConfigError("n_quad must be at least 2")
-        if self.exclusion_halfwidth is not None and self.exclusion_halfwidth < 0:
-            raise ConfigError("exclusion_halfwidth must be non-negative")
-        if len(self.thresholds) == 0 or any(t <= 0 for t in self.thresholds):
-            raise ConfigError("thresholds must be positive")
+        if self.exclusion_halfwidth is not None and not 0 <= self.exclusion_halfwidth < math.inf:
+            raise ConfigError("exclusion_halfwidth must be non-negative and finite")
+        if len(self.thresholds) == 0 or not all(0 < t < math.inf for t in self.thresholds):
+            raise ConfigError("thresholds must be positive and finite")
         if self.signal_sigma is not None and not 0 < self.signal_sigma < math.inf:
             raise ConfigError("signal_sigma must be positive and finite")
         # each raises if its quadrature overflows, the background one also
@@ -117,8 +117,6 @@ class FeatureStats:
 class SelectionSummary:
     n_selected: int
     stats: list
-    degenerate: bool = False
-    message: str = ""
 
 
 @dataclass
@@ -143,7 +141,8 @@ class AnomalyReport:
 
 def _averaged_densities(model, X, m, quadratures):
     """Log kernel-averaged densities log sum_j w_j p(x | m + delta_j), one
-    per (offsets, weights) quadrature, each with its clamp flag.
+    per (offsets, weights) quadrature, then each event's clamp flag: any
+    of its points, in any quadrature, outside the trained range.
 
     An event's rows with the same m clipped to the first and last bin
     centers have the same interpolation weights, so they have one density.
@@ -158,7 +157,6 @@ def _averaged_densities(model, X, m, quadratures):
     shifted = m[None, :] + offsets[:, None]
     centers = model.binning.centers
     key = np.clip(shifted, centers[0], centers[-1])
-    clamped = model.binning.clamp(shifted)[1]
     point = np.arange(offsets.size)[:, None]
     # the first point with the row's key
     first = np.repeat(point, m.size, axis=1)
@@ -176,9 +174,9 @@ def _averaged_densities(model, X, m, quadratures):
         total = np.zeros(X.shape[0])
         for row in terms:
             total += np.exp(row - top)
-        out.append((top + np.log(total), clamped[begin:begin + weights.size].any(axis=0)))
+        out.append(top + np.log(total))
         begin += weights.size
-    return out
+    return (*out, model.binning.outside(shifted).any(axis=0))
 
 
 def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
@@ -205,9 +203,7 @@ def score_events(model: FlowModel, events, config: ScoreConfig | None = None,
 
     def work(begin):
         end = begin + _CHUNK_ROWS
-        (log_sig, clamp_sig), (log_bg, clamp_bg) = _averaged_densities(
-            model, X[begin:end], mv[begin:end], quadratures)
-        return log_sig, log_bg, clamp_sig | clamp_bg
+        return _averaged_densities(model, X[begin:end], mv[begin:end], quadratures)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(work, range(0, X.shape[0], _CHUNK_ROWS)))
@@ -231,9 +227,8 @@ def summarize(events, selection, feature_names) -> SelectionSummary:
     """Per-feature mean / std / standard error of the mean over a selection.
 
     The conditional m is summarized as the first column; feature_names
-    must therefore have 1 + d entries.  An empty selection reports
-    "no events pass cut"; a single event is flagged degenerate with
-    std = 0.
+    must therefore have 1 + d entries.  An empty selection has
+    n_selected = 0 and no stats; a single event has std = 0.
     """
     X, mv = event_batch(*events)
     cols = np.column_stack([mv, X])
@@ -241,18 +236,15 @@ def summarize(events, selection, feature_names) -> SelectionSummary:
         raise InputError(f"expected {cols.shape[1]} feature names")
     sel = np.asarray(selection, dtype=int)
     if sel.size == 0:
-        return SelectionSummary(n_selected=0, stats=[], message="no events pass cut")
+        return SelectionSummary(n_selected=0, stats=[])
     chosen = cols[sel]
     n = chosen.shape[0]
     means = chosen.mean(axis=0)
-    if n == 1:
-        stds = np.zeros(cols.shape[1])
-    else:
-        stds = chosen.std(axis=0, ddof=1)
+    stds = chosen.std(axis=0, ddof=1) if n > 1 else np.zeros(cols.shape[1])
     sems = stds / np.sqrt(n)
     stats = [FeatureStats(name=nm, mean=float(mu), std=float(sd), sem=float(se))
              for nm, mu, sd, se in zip(feature_names, means, stds, sems)]
-    return SelectionSummary(n_selected=n, stats=stats, degenerate=(n == 1))
+    return SelectionSummary(n_selected=n, stats=stats)
 
 
 def scan_profile(report: AnomalyReport, events, bin_width: float):
@@ -274,14 +266,8 @@ def scan_profile(report: AnomalyReport, events, bin_width: float):
     idx = np.clip(((mv - lo) / bin_width).astype(int), 0, n_bins - 1)
     rows = []
     for b in range(n_bins):
-        mask = idx == b
-        count = int(mask.sum())
-        if count:
-            a = report.alphas[mask]
-            rows.append(ScanRow(m_lo=lo + b * bin_width, m_hi=lo + (b + 1) * bin_width,
-                                count=count, alpha_max=float(a.max()),
-                                alpha_p99=float(np.percentile(a, 99))))
-        else:
-            rows.append(ScanRow(m_lo=lo + b * bin_width, m_hi=lo + (b + 1) * bin_width,
-                                count=0, alpha_max=None, alpha_p99=None))
+        a = report.alphas[idx == b]
+        rows.append(ScanRow(m_lo=lo + b * bin_width, m_hi=lo + (b + 1) * bin_width,
+                            count=a.size, alpha_max=float(a.max()) if a.size else None,
+                            alpha_p99=float(np.percentile(a, 99)) if a.size else None))
     return rows

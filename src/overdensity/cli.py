@@ -18,20 +18,14 @@ import sys
 from collections import deque
 from contextlib import closing
 from functools import partial
-from importlib import metadata
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, dataio, flow, jets, synth
+from . import __version__, anomaly, dataio, flow, jets, synth
 from .errors import ConfigError, FitError, InputError
 from .flow import FitConfig, fit_gis, load_model, save_model
-
-try:
-    VERSION = metadata.version("overdensity")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
 
 
 # -- config file ---------------------------------------------------------------
@@ -110,7 +104,6 @@ def _given(args, *names):
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     counts = _given(args, "n_background", "n_signal")
     if args.generator == "toy":
         cfg = synth.ToyConfig(**counts)
@@ -126,6 +119,7 @@ def cmd_synth(args) -> int:
         config_used = {"n_background": lhc.n_background, "n_signal": lhc.n_signal,
                        "resonance": [rescfg.mass, rescfg.m_j1, rescfg.m_j2]}
 
+    os.makedirs(args.out_dir, exist_ok=True)
     ids = [str(i) for i in range(dataset.n_events)]
     features_path = os.path.join(args.out_dir, "features.csv")
     labels_path = os.path.join(args.out_dir, "labels.csv")
@@ -136,7 +130,7 @@ def cmd_synth(args) -> int:
         p, ids, dataset.labels))
     dataio.write_manifest(os.path.join(args.out_dir, "manifest.json"), {
         "command": f"synth {args.generator}",
-        "version": VERSION,
+        "version": __version__,
         "seed": args.seed,
         "config": config_used,
         "inputs": [],
@@ -244,7 +238,7 @@ def cmd_features(args) -> int:
         p, ids, synth.LHC_CONDITIONAL_NAME, matrix[:, 0], names, matrix[:, 1:]))
     dataio.write_manifest(f"{args.out}.manifest.json", {
         "command": "features",
-        "version": VERSION,
+        "version": __version__,
         "config": {"radius": args.radius, "eta_max": args.eta_max,
                    "window": list(window) if window else None},
         "inputs": [_input_entry(args.particles, n_particles)],
@@ -287,7 +281,7 @@ def cmd_fit(args) -> int:
     _atomic_write(args.model_out, lambda p: save_model(model, p))
     dataio.write_manifest(f"{args.model_out}.manifest.json", {
         "command": "fit",
-        "version": VERSION,
+        "version": __version__,
         "seed": cfg["seed"],
         "config": {k: cfg[k] for k in _FIT_SCHEMA},
         "inputs": [_input_entry(args.features, table.n_events)],
@@ -320,7 +314,7 @@ def _summary_text(report, table) -> str:
         if summary.n_selected == 0:
             lines.append(f"alpha > {thr:g}: no events pass cut")
             continue
-        suffix = " (single event; std set to 0)" if summary.degenerate else ""
+        suffix = " (single event; std set to 0)" if summary.n_selected == 1 else ""
         lines.append(f"alpha > {thr:g}: {summary.n_selected} events{suffix}")
         for st in summary.stats:
             lines.append(f"  {st.name} = {st.mean:.6g} ± {st.sem:.6g}")
@@ -355,7 +349,7 @@ def cmd_score(args) -> int:
 
     dataio.write_manifest(os.path.join(args.out_dir, "manifest.json"), {
         "command": "score",
-        "version": VERSION,
+        "version": __version__,
         # the thresholds scoring used: sorted, each once
         "config": {**cfg, "thresholds": list(report.thresholds)},
         "inputs": [_input_entry(args.features, table.n_events),

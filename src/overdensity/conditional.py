@@ -48,11 +48,10 @@ class ConditionalBinning:
         m = np.asarray(m, dtype=float)
         return np.clip(np.searchsorted(self.edges, m, side="right") - 1, 0, self.n_bins - 1)
 
-    def clamp(self, m):
-        """Clamp conditionals to the trained range; returns (values, flag)."""
+    def outside(self, m):
+        """Flag the conditionals outside the trained range [edges[0], edges[-1]]."""
         m = np.asarray(m, dtype=float)
-        clamped = np.clip(m, self.edges[0], self.edges[-1])
-        return clamped, (m < self.edges[0]) | (m > self.edges[-1])
+        return (m < self.edges[0]) | (m > self.edges[-1])
 
     def interp_weights(self, m):
         """Interpolation structure for conditionals: (lo, hi, t).
@@ -60,7 +59,7 @@ class ConditionalBinning:
         The effective transform at m is (1 - t) * bin[lo] + t * bin[hi];
         t is exactly 0.0 at bin centers and outside the center range.
         lo, hi and t are computed from np.clip(m, centers[0], centers[-1]),
-        so t lies in [0, 1]; clamp(m) flags values outside the trained range.
+        so t lies in [0, 1]; outside(m) flags values outside the trained range.
         """
         c = self.centers
         mc = np.clip(m, c[0], c[-1])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class FitConfig:
             raise ConfigError("n_knots must be at least 8")
         if self.n_candidates < 1:
             raise ConfigError("n_candidates must be positive")
-        if not self.derivative_floor > 0:
-            raise ConfigError("derivative_floor must be positive")
+        if not 0 < self.derivative_floor < math.inf:
+            raise ConfigError("derivative_floor must be positive and finite")
         self.resolve_slices(dim)
 
 
@@ -139,7 +139,6 @@ class FlowModel:
     binning: ConditionalBinning
     layers: list
     derivative_floor: float = DEFAULT_DERIVATIVE_FLOOR
-    fit_progress: list = field(default_factory=list, repr=False)
 
     # -- helpers ------------------------------------------------------------
 
@@ -262,9 +261,9 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
 
     Per iteration: select the best slice on the current residual, fit one
     marginal's knots per (conditional bin, slice column), and apply the
-    bin-interpolated update to every row.  fit_progress records the summed
-    slice Wasserstein score before and after each iteration's update;
-    on_iteration, if given, is called with (iteration, before, after).
+    bin-interpolated update to every row.  on_iteration, if given, is
+    called with (iteration, before, after): the summed slice Wasserstein
+    score before and after that iteration's update.
     The slice search runs on one thread pool per fit, sized to the CPUs
     the process may use; it has no setting and does not change the model.
     """
@@ -304,7 +303,6 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     bin_rows = [np.flatnonzero(bin_idx == b) for b in range(binning.n_bins)]
 
     layers = []
-    progress = []
     seeds = np.random.SeedSequence(config.rng_seed).generate_state(
         config.n_iterations, dtype=np.uint64)
     workers = min(_cpu_count(), config.n_candidates + 1)
@@ -321,13 +319,11 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
             Z, P = _apply_layer(layer, Z, plan)
             after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
             layers.append(layer)
-            progress.append((before, after))
             if on_iteration is not None:
                 on_iteration(i, before, after)
 
     return FlowModel(dim=d, shift=shift, scale=scale, binning=binning,
-                     layers=layers, derivative_floor=config.derivative_floor,
-                     fit_progress=progress)
+                     layers=layers, derivative_floor=config.derivative_floor)
 
 
 # -- serialization -------------------------------------------------------------

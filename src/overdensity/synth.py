@@ -16,13 +16,13 @@ Two generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 
-TOY_FEATURE_NAMES = ("x1",)
 TOY_CONDITIONAL_NAME = "m"
 LHC_FEATURE_NAMES = ("m_j1", "dm", "tau21_1", "tau21_2")
 LHC_CONDITIONAL_NAME = "m_jj"
@@ -112,15 +112,15 @@ def generate_toy(config: ToyConfig | None = None, seed: int = 0) -> LabeledDatas
     labels = np.concatenate([np.zeros(cfg.n_background, dtype=int),
                              np.ones(cfg.n_signal, dtype=int)])
     order = rng.permutation(X.shape[0])
-    names = TOY_FEATURE_NAMES if d == 1 else tuple(f"x{i + 1}" for i in range(d))
-    return LabeledDataset(features=X[order], conditionals=m[order],
-                          labels=labels[order], feature_names=names,
+    return LabeledDataset(features=X[order], conditionals=m[order], labels=labels[order],
+                          feature_names=tuple(f"x{i + 1}" for i in range(d)),
                           conditional_name=TOY_CONDITIONAL_NAME)
 
 
 @dataclass
 class Resonance:
-    """Planted dijet resonance: pair mass and the two jet masses (GeV)."""
+    """Planted dijet resonance: pair mass and the two jet masses (GeV).
+    Masses, dm and tau_mean must be finite and widths positive and finite."""
 
     mass: float = 3823.0
     m_j1: float = 732.0
@@ -130,6 +130,13 @@ class Resonance:
     width_dm: float = 25.0
     tau_mean: float = 0.2
     tau_width: float = 0.05
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.mass, self.m_j1, self.m_j2, self.dm, self.tau_mean))):
+            raise ConfigError("resonance masses and tau_mean must be finite")
+        widths = (self.width_mjj, self.width_mj1, self.width_dm, self.tau_width)
+        if not all(0 < w < math.inf for w in widths):
+            raise ConfigError("resonance widths must be positive and finite")
 
     @property
     def dm(self) -> float:
@@ -174,14 +181,11 @@ def _truncated_normal(rng, mean, width, lo, hi, n):
     return out
 
 
-def generate_lhc_like(n_background: int | None = None, n_signal: int | None = None,
-                      config: LhcLikeConfig | None = None, seed: int = 0) -> LabeledDataset:
-    """Draw the dijet-shaped benchmark; defaults plant an 0.0008 signal
-    fraction at (m_jj, m_j1, m_j2) = (3823, 732, 378) GeV."""
-    counts = {"n_background": n_background, "n_signal": n_signal}
-    # replace() validates the copy again (__post_init__)
-    cfg = replace(config or LhcLikeConfig(),
-                  **{name: n for name, n in counts.items() if n is not None})
+def generate_lhc_like(config: LhcLikeConfig | None = None, seed: int = 0) -> LabeledDataset:
+    """Draw the dijet-shaped benchmark; deterministic for a given (config,
+    seed).  The defaults plant an 0.0008 signal fraction at
+    (m_jj, m_j1, m_j2) = (3823, 732, 378) GeV."""
+    cfg = config or LhcLikeConfig()
     rng = np.random.default_rng(seed)
     lo, hi = cfg.m_window
     res = cfg.resonance

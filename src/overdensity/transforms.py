@@ -160,8 +160,8 @@ def _checked_slopes(x, y, derivative_floor):
     if (x[..., 1:] <= x[..., :-1]).any() or (y[..., 1:] <= y[..., :-1]).any():
         raise InputError("knots must be strictly increasing")
     floor = float(derivative_floor)
-    if not (floor > 0):
-        raise InputError("derivative_floor must be positive")
+    if not 0 < floor < math.inf:
+        raise InputError("derivative_floor must be positive and finite")
     # a zero secant divides by zero in the harmonic mean and is then
     # discarded, as in scipy
     lo, hi = _END_INTERVALS

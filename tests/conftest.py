@@ -18,11 +18,20 @@ def toy_dataset():
 
 
 @pytest.fixture(scope="session")
-def toy_model(toy_dataset):
-    """A small but honest fit, shared across the scoring tests."""
+def toy_fit(toy_dataset):
+    """A small but honest fit, shared across the scoring tests, and its
+    (before, after) slice-W1 per iteration as on_iteration reports them."""
     cfg = FitConfig(n_iterations=5, n_conditional_bins=6, n_knots=24,
                     n_candidates=16, rng_seed=7)
-    return fit_gis(toy_dataset.features, toy_dataset.conditionals, cfg)
+    progress = []
+    model = fit_gis(toy_dataset.features, toy_dataset.conditionals, cfg,
+                    on_iteration=lambda i, before, after: progress.append((before, after)))
+    return model, progress
+
+
+@pytest.fixture(scope="session")
+def toy_model(toy_fit):
+    return toy_fit[0]
 
 
 @pytest.fixture

@@ -245,7 +245,7 @@ def test_summarize_by_hand():
     m = np.array([10.0, 20.0])
     s = summarize((X, m), [0, 1], ["m", "a", "b"])
     assert s.n_selected == 2
-    assert not s.degenerate
+    assert [st.name for st in s.stats] == ["m", "a", "b"]
     by_name = {st.name: st for st in s.stats}
     assert by_name["m"].mean == 15.0
     assert by_name["m"].std == pytest.approx(7.0710678118654755, abs=1e-14)
@@ -259,9 +259,9 @@ def test_summarize_edge_cases():
     m = np.array([5.0, 6.0])
     empty = summarize((X, m), [], ["m", "x"])
     assert empty.n_selected == 0
-    assert empty.message == "no events pass cut"
+    assert empty.stats == []
     single = summarize((X, m), [1], ["m", "x"])
-    assert single.degenerate
+    assert single.n_selected == 1
     assert single.stats[0].mean == 6.0
     assert single.stats[0].std == 0.0
     with pytest.raises(InputError):

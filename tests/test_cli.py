@@ -217,6 +217,57 @@ def test_unusable_width_is_a_config_error_before_any_output(pipeline_dir, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--thresholds", "nan", "inf", "2"], "thresholds must be positive and finite"),
+    (["--thresholds", "1.5", "inf"], "thresholds must be positive and finite"),
+    (["--exclusion", "nan"], "exclusion_halfwidth must be non-negative and finite"),
+    (["--exclusion", "inf"], "exclusion_halfwidth must be non-negative and finite"),
+])
+def test_non_finite_score_option_exits_2(pipeline_dir, tmp_path, capsys, flags, message):
+    # a NaN or infinite threshold would be written to manifest.json as NaN
+    # or Infinity, which strict JSON parsers reject
+    out = tmp_path / "scores"
+    code = main(["score", "--features", str(pipeline_dir / "data" / "features.csv"),
+                 "--model", str(pipeline_dir / "model.txt"), "--out-dir", str(out),
+                 "--sigma", "0.15", *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_non_finite_derivative_floor_is_rejected(pipeline_dir, tmp_path, capsys):
+    features = str(pipeline_dir / "data" / "features.csv")
+    model = tmp_path / "model.txt"
+    for floor in ("inf", "nan"):
+        assert main(["fit", "--features", features, "--model-out", str(model),
+                     "--iterations", "1", "--bins", "3", "--knots", "12", "--quiet",
+                     "--derivative-floor", floor]) == 2
+        assert capsys.readouterr().err == (
+            "config error: derivative_floor must be positive and finite\n")
+        assert not model.exists()
+    # a model file whose floor reads inf is malformed: it would score NaN
+    text = (pipeline_dir / "model.txt").read_text()
+    assert re.search(r"\nderivative_floor \S+\n", text)
+    model.write_text(re.sub(r"\nderivative_floor \S+\n", "\nderivative_floor inf\n", text))
+    out = tmp_path / "scores"
+    assert main(["score", "--features", features, "--model", str(model),
+                 "--out-dir", str(out), "--sigma", "0.15"]) == 1
+    assert capsys.readouterr().err == "error: derivative_floor must be positive and finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--mass", "--m1", "--m2"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_resonance_mass_exits_2(tmp_path, capsys, flag, value):
+    # fit would reject the features file such a resonance writes
+    out = tmp_path / "lhc"
+    assert main(["synth", "lhc", "--out-dir", str(out), "--n-background", "100",
+                 "--n-signal", "5", f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: resonance masses and tau_mean must be finite\n")
+    assert not out.exists()
+
+
 def test_empty_features_score_is_clean(pipeline_dir, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("event_id,m,x1\n")

@@ -50,7 +50,7 @@ def test_interp_weights_by_hand():
     assert t[2] == 0.0
     assert t[3] == 0.0  # below the first center: edge bin, unmixed
     assert t[4] == 0.0
-    assert list(b.clamp(m)[1]) == [False, False, False, False, True]
+    assert list(b.outside(m)) == [False, False, False, False, True]
 
 
 def test_build_binning_errors():

@@ -6,7 +6,6 @@ import pytest
 from overdensity.errors import ConfigError
 from overdensity.synth import (
     LHC_FEATURE_NAMES,
-    TOY_FEATURE_NAMES,
     LhcLikeConfig,
     Resonance,
     ToyConfig,
@@ -34,7 +33,7 @@ def test_toy_shapes_and_labels():
     assert ds.features.shape == (2050, 1)
     assert ds.conditionals.shape == (2050,)
     assert ds.labels.sum() == 50
-    assert ds.feature_names == TOY_FEATURE_NAMES
+    assert ds.feature_names == ("x1",)
     assert ds.conditional_name == "m"
     X, m = ds.event_arrays()
     assert X.shape == (2050, 1)
@@ -90,7 +89,7 @@ def test_toy_validation():
 
 
 def test_lhc_shapes_names_and_window():
-    ds = generate_lhc_like(n_background=3000, n_signal=30, seed=2)
+    ds = generate_lhc_like(LhcLikeConfig(n_background=3000, n_signal=30), seed=2)
     assert ds.features.shape == (3030, 4)
     assert ds.feature_names == LHC_FEATURE_NAMES
     assert ds.conditional_name == "m_jj"
@@ -117,7 +116,7 @@ def test_lhc_background_mass_spectrum():
 
 def test_lhc_signal_sits_at_the_resonance():
     res = Resonance()
-    ds = generate_lhc_like(n_background=0, n_signal=500, seed=1)
+    ds = generate_lhc_like(LhcLikeConfig(n_background=0, n_signal=500), seed=1)
     assert ds.labels.all()
     m_jj = ds.conditionals
     m_j1 = ds.features[:, 0]
@@ -129,8 +128,8 @@ def test_lhc_signal_sits_at_the_resonance():
 
 
 def test_lhc_determinism_and_overrides():
-    a = generate_lhc_like(n_background=800, n_signal=8, seed=9)
-    b = generate_lhc_like(n_background=800, n_signal=8, seed=9)
+    a = generate_lhc_like(LhcLikeConfig(n_background=800, n_signal=8), seed=9)
+    b = generate_lhc_like(LhcLikeConfig(n_background=800, n_signal=8), seed=9)
     assert np.array_equal(a.features, b.features)
     moved = generate_lhc_like(
         config=LhcLikeConfig(n_background=0, n_signal=300,
@@ -143,3 +142,10 @@ def test_lhc_validation():
         generate_lhc_like(config=LhcLikeConfig(n_background=100, n_signal=-2))
     with pytest.raises(ConfigError):
         generate_lhc_like(config=LhcLikeConfig(m_window=(4750.0, 2250.0)))
+    # every drawn feature must be finite for fit to read it back
+    for bad in ({"m_j2": math.inf}, {"tau_mean": math.nan}, {"m_j1": 1e308, "m_j2": -1e308}):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Resonance(**bad)
+    for bad in ({"width_mjj": 0.0}, {"width_dm": math.inf}, {"tau_width": math.nan}):
+        with pytest.raises(ConfigError, match="widths must be positive and finite"):
+            Resonance(**bad)
