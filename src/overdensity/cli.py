@@ -204,8 +204,7 @@ def cmd_features(args) -> int:
     window = None if args.no_window else tuple(args.window)
     if window is not None and not window[1] > window[0]:
         raise ConfigError("--window must be lo hi with lo < hi")
-    if not args.radius > 0:
-        raise ConfigError("--radius must be positive")
+    jets.check_radius(args.radius, "--radius")
     if not args.eta_max > 0:
         raise ConfigError("--eta-max must be positive")
 

@@ -253,9 +253,8 @@ def _count_le(row, start, width, v):
     return p
 
 
-def eval_binned(table: KnotTable, start, y):
-    """Evaluate the transform of the bin whose first slot is start[i]
-    (bin * table.stride) at y[i]; returns (psi, deriv).
+def eval_binned(table: KnotTable, bins, y):
+    """Evaluate bin bins[i]'s transform at y[i]; returns (psi, deriv).
 
     Row for row bit-identical to Marginal1DTransform.transform for finite
     y: the same Hermite expressions in the same order; on a tail
@@ -263,9 +262,8 @@ def eval_binned(table: KnotTable, start, y):
     An infinite y gives NaN (inf * 0 in the cubic terms).
     """
     y = np.ascontiguousarray(y, dtype=float)
-    at = _bucket_entries(y, start // table.stride, table.scale, table.offset,
-                         _BUCKETS_PER_SLOT * table.stride)
-    np.add(start, table.window.take(at), out=at)  # the first slot of y's window
+    at = _bucket_entries(y, bins, table.scale, table.offset, _BUCKETS_PER_SLOT * table.stride)
+    np.add(bins * table.stride, table.window.take(at), out=at)  # y's window's first slot
     # the gather through the transposed view gives contiguous columns, on
     # which the arithmetic runs twice as fast as on a row gather's strided ones
     x, h, a, d0, c2, c3 = table.segments.T.take(
@@ -315,9 +313,9 @@ class InterpPlan:
 
     order lists the batch's rows with the mixed ones (t > 0) first, each
     group in its original order.  A batch taken in that order blends its
-    first t.size rows, so the blend is a slice.  bins holds every
-    reordered row's lo bin and then each mixed row's hi bin; t and
-    s = 1 - t are the mixed rows' weights.
+    first t.size rows, so the blend is a slice.  bins, the argument the
+    knot-table kernels take, holds every reordered row's lo bin and then
+    each mixed row's hi bin; t and s = 1 - t are the mixed rows' weights.
     """
 
     def __init__(self, lo, hi, t):
@@ -327,13 +325,6 @@ class InterpPlan:
         self.bins = np.concatenate((lo[self.order], hi[first]))
         self.t = t[first]
         self.s = 1.0 - self.t
-        self._starts = {}
-
-    def starts(self, stride):
-        """bins * stride: each row's first slot in a KnotTable of that stride."""
-        if stride not in self._starts:
-            self._starts[stride] = self.bins * stride
-        return self._starts[stride]
 
     def restore(self, a):
         """The rows of a, taken in plan order, back in the batch's order."""
@@ -342,10 +333,10 @@ class InterpPlan:
         return out
 
 
-def interpolated_transform(table: KnotTable, start, t, s, y):
+def interpolated_transform(table: KnotTable, bins, t, s, y):
     """Forward map through the bin-interpolated transform of rows in an
-    InterpPlan's order: start = plan.starts(table.stride), t = plan.t and
-    s = plan.s.  Returns (psi, deriv) in that order.
+    InterpPlan's order: bins = plan.bins, t = plan.t and s = plan.s.
+    Returns (psi, deriv) in that order.
 
     Derivatives are already clamped per transform, and a convex
     combination keeps the clamp.  Both bins are evaluated in one
@@ -354,7 +345,7 @@ def interpolated_transform(table: KnotTable, start, t, s, y):
     """
     y = np.asarray(y, dtype=float)
     n, k = y.size, t.size
-    psi, deriv = eval_binned(table, start, np.concatenate((y, y[:k])))
+    psi, deriv = eval_binned(table, bins, np.concatenate((y, y[:k])))
     psi_hi, d_hi = psi[n:], deriv[n:]
     psi, deriv = psi[:n], deriv[:n]
     psi[:k] = s * psi[:k] + t * psi_hi
@@ -366,7 +357,7 @@ def _interpolate_rows(table: KnotTable, lo, hi, t, y):
     """interpolated_transform at weights (lo, hi, t) for rows in any order:
     planned, evaluated in plan order and put back."""
     plan = InterpPlan(lo, hi, t)
-    psi, deriv = interpolated_transform(table, plan.starts(table.stride), plan.t, plan.s,
+    psi, deriv = interpolated_transform(table, plan.bins, plan.t, plan.s,
                                         np.asarray(y, dtype=float)[plan.order])
     return plan.restore(psi), plan.restore(deriv)
 

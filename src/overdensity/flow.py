@@ -117,8 +117,7 @@ def _apply_layer(layer: GisLayer, Z, plan: InterpPlan, log_det=None):
     Y = Z @ W
     P = np.empty_like(Y)
     for k, table in enumerate(layer.tables):
-        P[:, k], deriv = interpolated_transform(table, plan.starts(table.stride),
-                                                plan.t, plan.s, Y[:, k])
+        P[:, k], deriv = interpolated_transform(table, plan.bins, plan.t, plan.s, Y[:, k])
         if log_det is not None:
             log_det += np.log(deriv)
     return Z + (P - Y) @ W.T, P
@@ -216,31 +215,26 @@ def _random_orthonormal(rng, n, d, k):
     return Q * sign[:, None, :]
 
 
-def _candidate_score(Xt, W):
+def _candidate_scores(Xt, frames):
     # projected as W^T X^T, so each slice's sample is a contiguous row
-    return sum(wasserstein_1d_to_gaussian(y) for y in W.T @ Xt)
-
-
-def _score_group(Xt, group):
-    return [_candidate_score(Xt, W) for W in group]
+    return [sum(wasserstein_1d_to_gaussian(y) for y in W.T @ Xt) for W in frames]
 
 
 def _select_slice_scored(X, n_slices, n_candidates, seed, pool, workers):
     """Best of the axis frame and n_candidates random frames, with its score.
 
-    The candidates are scored in `workers` interleaved groups on pool;
-    the scores go back in candidate order, so the choice does not depend
-    on the worker count.
+    The candidates are scored in `workers` consecutive groups on pool,
+    one task per group; pool.map returns the groups in order, so the
+    scores are in candidate order and the choice does not depend on the
+    worker count.
     """
     d = X.shape[1]
     rng = np.random.default_rng(seed)
     Xt = np.ascontiguousarray(X.T)
     candidates = np.concatenate([_axis_candidate(Xt, n_slices)[None],
                                  _random_orthonormal(rng, n_candidates, d, n_slices)])
-    groups = [candidates[w::workers] for w in range(workers)]
-    scores = np.empty(len(candidates))
-    for w, group_scores in enumerate(pool.map(_score_group, [Xt] * workers, groups)):
-        scores[w::workers] = group_scores
+    scores = np.concatenate(list(pool.map(_candidate_scores, [Xt] * workers,
+                                          np.array_split(candidates, workers))))
     best = int(np.argmax(scores))  # ties resolve to the lowest index
     return candidates[best], float(scores[best])
 

@@ -76,14 +76,6 @@ def check_particle(pt, eta, phi, mass):
         raise InputError(f"particle mass above {_MOMENTUM_MAX:g}")
 
 
-def _four_momentum(pt, eta, phi, mass):
-    px = pt * math.cos(phi)
-    py = pt * math.sin(phi)
-    pz = pt * math.sinh(eta)
-    e = math.sqrt(px * px + py * py + pz * pz + mass * mass)
-    return e, px, py, pz
-
-
 @dataclass
 class Particle:
     """Massless-by-default input particle in (pt, eta, phi[, mass]); phi
@@ -99,7 +91,10 @@ class Particle:
         self.phi = wrap_phi(self.phi)
 
     def four_momentum(self):
-        return _four_momentum(self.pt, self.eta, self.phi, self.mass)
+        px = self.pt * math.cos(self.phi)
+        py = self.pt * math.sin(self.phi)
+        pz = self.pt * math.sinh(self.eta)
+        return math.sqrt(px * px + py * py + pz * pz + self.mass * self.mass), px, py, pz
 
 
 @dataclass
@@ -303,15 +298,20 @@ def _pow(x, power):
         return math.inf
 
 
+def check_radius(R, name="R"):
+    """Raise ConfigError unless R > 0 and R * R is positive and finite."""
+    if not (R > 0 and 0 < R * R < math.inf):
+        raise ConfigError(f"{name} must be positive with a positive finite square")
+
+
 def cluster_antikt(particles, R: float = 1.0) -> list:
     """Anti-kt clustering; returns jets sorted by descending pt.
 
     d_ij = min(pt_i^-2, pt_j^-2) * dR^2 / R^2 against d_iB = pt_i^-2;
     the smaller wins each step (beam on exact ties), with E-scheme
-    recombination.
+    recombination.  R must pass check_radius.
     """
-    if not R > 0:
-        raise ConfigError("R must be positive")
+    check_radius(R)
     particles = list(particles)
     if not particles:
         return []
@@ -350,8 +350,7 @@ def _subjettiness(jet, counts, R):
     the jet has fewer constituents than counts[0].  The axes come from one
     exclusive-kt declustering: its run down to n - 1 subjets repeats every
     merge of the run down to n."""
-    if not R > 0:
-        raise ConfigError("R must be positive")
+    check_radius(R)
     consts = jet.constituents
     if len(consts) < counts[0]:
         return None

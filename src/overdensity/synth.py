@@ -54,7 +54,9 @@ class ToyConfig:
     Background: m ~ U(m_range); x_d ~ N(intercept_d + slope_d * m, sigma_d).
     Signal: m ~ N(signal_m, signal_m_width); x ~ N(mean(signal_m),
     signal_x_width), centred on the background ridge at signal_m, making
-    the blob a pure local over-density rather than an outlier.
+    the blob a pure local over-density rather than an outlier.  slope and
+    intercept must be finite, and the widths and m_range's span positive
+    and finite.
     """
 
     n_background: int = 50_000
@@ -71,14 +73,14 @@ class ToyConfig:
         d = len(self.slope)
         if not (len(self.intercept) == len(self.sigma) == len(self.signal_x_width) == d):
             raise ConfigError("slope, intercept, sigma and signal_x_width must share a length")
-        if any(s <= 0 for s in self.sigma) or any(w <= 0 for w in self.signal_x_width):
-            raise ConfigError("widths must be positive")
-        if not self.m_range[1] > self.m_range[0]:
-            raise ConfigError("m_range must be increasing")
+        widths = (*self.sigma, *self.signal_x_width, self.signal_m_width,
+                  self.m_range[1] - self.m_range[0])
+        if not all(0 < w < math.inf for w in widths):
+            raise ConfigError("widths and m_range's span must be positive and finite")
+        if not all(map(math.isfinite, (*self.slope, *self.intercept))):
+            raise ConfigError("slope and intercept must be finite")
         if self.n_background < 0 or self.n_signal < 0:
             raise ConfigError("counts must be non-negative")
-        if not self.signal_m_width > 0:
-            raise ConfigError("signal_m_width must be positive")
         if not self.m_range[0] <= self.signal_m <= self.m_range[1]:
             raise ConfigError("signal_m must lie inside m_range; the blob is "
                               "an over-density of the background, not a new region")
@@ -146,7 +148,10 @@ class Resonance:
 @dataclass
 class LhcLikeConfig:
     """Dijet-shaped benchmark: falling m_jj spectrum with smooth feature
-    marginals; jet mass is correlated with m_jj."""
+    marginals; jet mass is correlated with m_jj.  m_window's span,
+    m_falloff, jet_mass_logwidth, dm_shape, dm_scale, tau_beta and the
+    jet-mass scale jet_mass_floor + jet_mass_fraction * m_jj at both ends
+    of m_window must be positive and finite."""
 
     n_background: int = 999_200
     n_signal: int = 800
@@ -161,12 +166,14 @@ class LhcLikeConfig:
     resonance: Resonance = field(default_factory=Resonance)
 
     def __post_init__(self):
-        if not self.m_window[1] > self.m_window[0]:
-            raise ConfigError("m_window must be increasing")
         if self.n_background < 0 or self.n_signal < 0:
             raise ConfigError("counts must be non-negative")
-        if not self.m_falloff > 0:
-            raise ConfigError("m_falloff must be positive")
+        lo, hi = self.m_window
+        scale = [self.jet_mass_floor + self.jet_mass_fraction * m for m in (lo, hi)]
+        shapes = (self.m_falloff, self.jet_mass_logwidth, self.dm_shape, self.dm_scale)
+        if not all(0 < v < math.inf for v in (hi - lo, *shapes, *self.tau_beta, *scale)):
+            raise ConfigError("m_window's span, m_falloff, jet_mass_logwidth, dm_shape, dm_scale, "
+                              "tau_beta and the jet-mass scale must be positive and finite")
 
 
 def _truncated_normal(rng, mean, width, lo, hi, n):
@@ -206,7 +213,7 @@ def generate_lhc_like(config: LhcLikeConfig | None = None, seed: int = 0) -> Lab
     tau_sig = np.column_stack([
         _truncated_normal(rng, res.tau_mean, res.tau_width, 0.0, 1.0, cfg.n_signal),
         _truncated_normal(rng, res.tau_mean, res.tau_width, 0.0, 1.0, cfg.n_signal),
-    ]) if cfg.n_signal else np.zeros((0, 2))
+    ])
 
     X = np.vstack([
         np.column_stack([mj1_bg, dm_bg, tau_bg]),

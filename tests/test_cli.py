@@ -329,6 +329,23 @@ def _write_particle_events(path, n_events, seed, bad_row_after=None,
     return bad_line
 
 
+@pytest.mark.parametrize("radius", ["inf", "1e200", "1e-200", "nan", "0"])
+def test_radius_whose_square_is_not_positive_and_finite_exits_2(tmp_path, capsys, radius):
+    # inf and 1e200 (whose square overflows) would count every event as
+    # fewer_than_two_jets, and 1e-200 (whose square is 0) every event as
+    # tau21_undefined, with exit 0
+    particles = tmp_path / "particles.csv"
+    _write_particle_events(particles, 10, seed=2)
+    out = tmp_path / "features.csv"
+    for source in (particles, tmp_path / "missing.csv"):  # raised before the read
+        assert main(["features", "--particles", str(source), "--out", str(out),
+                     "--radius", radius]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --radius must be positive with a positive finite square\n")
+        assert not out.exists()
+        assert not (tmp_path / "features.csv.manifest.json").exists()
+
+
 def _features_with_workers(monkeypatch, workers, argv):
     monkeypatch.setattr(flow, "_cpu_count", lambda: workers)
     code = main(["features", *argv])

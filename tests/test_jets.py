@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from overdensity.errors import EventRejected, InputError
+from overdensity.errors import ConfigError, EventRejected, InputError
 from overdensity.jets import (
     Particle,
     _Cluster,
@@ -228,6 +228,22 @@ def test_extract_features_rejects_thin_events():
         extract_features([Particle(pt=100.0, eta=4.0, phi=0.0),
                           Particle(pt=90.0, eta=-4.0, phi=3.0)])
     assert exc.value.reason == "fewer_than_two_jets"
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-200])
+def test_radius_whose_square_is_not_positive_and_finite_is_rejected(R):
+    # the distances are divided by R * R: at 1e200 it overflows to inf and
+    # every particle merges into one jet; at 1e-200 it underflows to 0 and
+    # every particle is a jet of its own
+    particles = [Particle(pt=300.0, eta=0.1, phi=0.0), Particle(pt=120.0, eta=0.5, phi=0.3)]
+    message = "R must be positive with a positive finite square"
+    with pytest.raises(ConfigError, match=message):
+        cluster_antikt(particles, R=R)
+    jet = cluster_antikt(particles, R=1.0)[0]
+    with pytest.raises(ConfigError, match=message):
+        nsubjettiness(jet, 1, R=R)
+    with pytest.raises(ConfigError, match=message):
+        extract_features(particles, R=R)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0),

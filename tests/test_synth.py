@@ -88,6 +88,40 @@ def test_toy_validation():
         generate_toy(ToyConfig(signal_m=2.0))  # outside the m range
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"sigma": (math.nan,)}, "widths and m_range's span must be positive and finite"),
+    ({"signal_x_width": (math.inf,)}, "widths and m_range's span must be positive and finite"),
+    ({"signal_m_width": math.nan}, "widths and m_range's span must be positive and finite"),
+    ({"m_range": (0.0, math.inf)}, "widths and m_range's span must be positive and finite"),
+    ({"m_range": (-math.inf, 1.0)}, "widths and m_range's span must be positive and finite"),
+    ({"slope": (math.inf,)}, "slope and intercept must be finite"),
+    ({"intercept": (math.nan,)}, "slope and intercept must be finite"),
+])
+def test_toy_rejects_unusable_values(bad, message):
+    # each would give non-finite features, which fit rejects only after
+    # they are written, or numpy's OverflowError for the infinite m_range
+    with pytest.raises(ConfigError) as exc:
+        ToyConfig(n_background=20, n_signal=2, **bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [
+    {"m_falloff": math.inf}, {"jet_mass_floor": math.nan}, {"jet_mass_fraction": math.inf},
+    {"jet_mass_logwidth": math.nan}, {"jet_mass_logwidth": -1.0}, {"dm_shape": math.nan},
+    {"dm_shape": -1.0}, {"dm_scale": math.inf}, {"tau_beta": (math.nan, 3.0)},
+    {"tau_beta": (0.0, 3.0)}, {"m_window": (2250.0, math.inf)},
+    # the jet-mass scale is negative at the low end of m_window only
+    {"jet_mass_floor": -200.0},
+])
+def test_lhc_rejects_unusable_values(bad):
+    # each would give non-finite features or numpy's ValueError
+    with pytest.raises(ConfigError) as exc:
+        LhcLikeConfig(n_background=20, n_signal=2, **bad)
+    assert str(exc.value) == ("m_window's span, m_falloff, jet_mass_logwidth, dm_shape, "
+                              "dm_scale, tau_beta and the jet-mass scale must be positive "
+                              "and finite")
+
+
 def test_lhc_shapes_names_and_window():
     ds = generate_lhc_like(LhcLikeConfig(n_background=3000, n_signal=30), seed=2)
     assert ds.features.shape == (3030, 4)
