@@ -326,6 +326,21 @@ class InterpPlan:
         self.t = t[first]
         self.s = 1.0 - self.t
 
+    def blocks(self, parts):
+        """The plan cut into `parts` consecutive row blocks, as (rows,
+        bins, t, s): rows slices the planned rows, and bins, t and s are
+        the block's own plan.  Mixed rows lead, so a block's t and s are
+        slices of t and s, and its bins are its rows' lo bins, then its
+        mixed rows' hi bins."""
+        n, k = self.order.size, self.t.size
+        cuts = [n * i // parts for i in range(parts + 1)]
+        blocks = []
+        for a, b in zip(cuts, cuts[1:]):
+            mixed = slice(min(a, k), min(b, k))
+            blocks.append((slice(a, b), np.concatenate((self.bins[a:b], self.bins[n:][mixed])),
+                           self.t[mixed], self.s[mixed]))
+        return blocks
+
     def restore(self, a):
         """The rows of a, taken in plan order, back in the batch's order."""
         out = np.empty_like(a)

@@ -177,8 +177,8 @@ def _csv_records(lines, path, line_no):
         raise InputError(f"{path} line {line_no - 1 + reader.line_num}: {exc}") from None
 
 
-def _read_rows(lines, header, path, line_no):
-    """The row-by-row parse of lines from line_no: one block a row, or
+def _checked_rows(lines, header, path, line_no):
+    """(line number, id, cells) of each row of lines from line_no, or
     InputError naming the first bad row, column and cell."""
     for line_no, row in _csv_records(lines, path, line_no):
         if not row:
@@ -186,15 +186,39 @@ def _read_rows(lines, header, path, line_no):
         if len(row) != len(header):
             raise InputError(f"{path} line {line_no}: expected {len(header)} "
                              f"columns, got {len(row)}")
-        cells = _float_cells(row[1:], header[1:], path, line_no)
-        yield (line_no,), row[:1], np.array([cells])
+        yield line_no, row[0], _float_cells(row[1:], header[1:], path, line_no)
+
+
+def _row_block(rows):
+    """The block (line numbers, ids, values) of _checked_rows' rows, if any."""
+    if rows:
+        line_nos, ids, cells = zip(*rows)
+        yield line_nos, ids, np.array(cells)
+
+
+def _read_rows(lines, header, path, line_no):
+    """The row-by-row parse of lines from line_no, in blocks of up to
+    _PARSE_LINES rows.  Its first error comes after a block of the rows
+    before it, so that a reader meets the errors in file order."""
+    rows = _checked_rows(lines, header, path, line_no)
+    while True:
+        block = []
+        try:
+            block.extend(islice(rows, _PARSE_LINES))
+        except InputError:
+            yield from _row_block(block)
+            raise
+        if not block:
+            return
+        yield from _row_block(block)
 
 
 def _parsed_rows(path, kind):
     """The header row of an input file, then blocks (line numbers, ids,
     (rows, columns - 1) float array) of its rows: _PARSE_LINES lines a block
-    (_parse_block) until a block needs the row-by-row parse, then one row a
-    block.  Either way a file reads the same, and its errors come in order."""
+    (_parse_block) until a block needs the row-by-row parse, then blocks of
+    up to _PARSE_LINES rows (_read_rows).  Either way a file reads the
+    same, and its errors come in order."""
     lines = _text_lines(path, kind)
     header = next(_csv_records(lines, path, 1), (1, None))[1]
     if header is None:

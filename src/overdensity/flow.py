@@ -11,10 +11,13 @@ shared by all conditional bins; only the 1D transforms depend on the bin.
 Because the update acts componentwise in the W basis, each layer adds
 exactly K marginal log-derivative terms to the log-Jacobian.
 
-The fit scores each layer's candidate frames on a thread pool with one
-worker per CPU the process may use (the sorts inside each score release
-the interpreter lock).  The scores come back in candidate order, so the
-model is byte-identical for any number of CPUs.
+The fit runs each layer in whole-block numpy calls on a thread pool with
+one worker per CPU the process may use: a candidate frame's K projections
+are scored by one sort call, a slice's bin marginals are fitted from one,
+and the update maps each slice over one row block per worker (the sorts
+and the array arithmetic release the interpreter lock).  Scores come back
+in candidate order and every row maps on its own, so the model is
+byte-identical for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -105,11 +110,25 @@ class GisLayer:
     tables: list
 
 
-def _apply_layer(layer: GisLayer, Z, plan: InterpPlan, log_det=None):
-    """Apply one layer to the rows of Z, taken in the plan's order.
+def _slice_block(table, y, p, log_det, block):
+    """One row block of one slice: interpolated_transform of y's rows
+    into p, and their log-derivative added into log_det, if given."""
+    rows, bins, t, s = block
+    p[rows], deriv = interpolated_transform(table, bins, t, s, y[rows])
+    if log_det is not None:
+        log_det[rows] += np.log(deriv)
+
+
+def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map):
+    """Apply one layer to the rows of Z, taken in the order of the plan
+    cut into row blocks (InterpPlan.blocks).
 
     Returns (Z', P), P being the transformed slice coordinates.  Each
-    slice's log-derivative is added into log_det, if given, in slice order.
+    slice in turn has its blocks evaluated through map (the fit passes
+    its pool's), each slice's log-derivative being added into log_det, if
+    given.  Every row maps on its own, so the blocks do not change a bit.
+    Both d x K products stay whole-array calls in the calling thread: a
+    BLAS product's bits can depend on its row count.
     interpolated_transform is looked up in this module on every call, which
     is where perfbench's tracer patches it.
     """
@@ -117,9 +136,7 @@ def _apply_layer(layer: GisLayer, Z, plan: InterpPlan, log_det=None):
     Y = Z @ W
     P = np.empty_like(Y)
     for k, table in enumerate(layer.tables):
-        P[:, k], deriv = interpolated_transform(table, plan.bins, plan.t, plan.s, Y[:, k])
-        if log_det is not None:
-            log_det += np.log(deriv)
+        list(map(partial(_slice_block, table, Y[:, k], P[:, k], log_det), blocks))
     return Z + (P - Y) @ W.T, P
 
 
@@ -158,10 +175,11 @@ class FlowModel:
         X, mv = self._as_batch(x, m)
         lo, hi, t = self.binning.interp_weights(mv)
         plan = InterpPlan(lo, hi, t)
+        blocks = plan.blocks(1)
         Z = (X[plan.order] - self.shift) / self.scale
         log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         for layer in self.layers:
-            Z, _ = _apply_layer(layer, Z, plan, log_det)
+            Z, _ = _apply_layer(layer, Z, blocks, log_det)
         return plan.restore(Z), plan.restore(log_det)
 
     def inverse(self, z, m):
@@ -192,15 +210,18 @@ class FlowModel:
 
 
 def _axis_candidate(Xt, k):
-    """Orthonormal candidate made of the k most non-Gaussian coordinate axes.
+    """Orthonormal frame of the k most non-Gaussian coordinate axes, with
+    its score.
 
-    Xt holds one coordinate per row (X transposed, contiguous).
+    Xt holds one coordinate per row (X transposed, contiguous).  A one-hot
+    product returns each chosen coordinate exactly, so the sum of their
+    distances in frame order is the score the frame gets as a candidate.
     """
-    scores = np.array([wasserstein_1d_to_gaussian(column) for column in Xt])
+    scores = wasserstein_1d_to_gaussian(Xt, axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
     W = np.zeros((Xt.shape[0], k))
     W[order, np.arange(k)] = 1.0
-    return W
+    return W, sum(scores[order].tolist())
 
 
 def _random_orthonormal(rng, n, d, k):
@@ -216,27 +237,30 @@ def _random_orthonormal(rng, n, d, k):
 
 
 def _candidate_scores(Xt, frames):
-    # projected as W^T X^T, so each slice's sample is a contiguous row
-    return [sum(wasserstein_1d_to_gaussian(y) for y in W.T @ Xt) for W in frames]
+    # projected as W^T X^T, so each slice's sample is a contiguous row; the
+    # slices' distances are summed in slice order
+    return [sum(wasserstein_1d_to_gaussian(W.T @ Xt, axis=1).tolist()) for W in frames]
 
 
 def _select_slice_scored(X, n_slices, n_candidates, seed, pool, workers):
     """Best of the axis frame and n_candidates random frames, with its score.
 
-    The candidates are scored in `workers` consecutive groups on pool,
-    one task per group; pool.map returns the groups in order, so the
-    scores are in candidate order and the choice does not depend on the
-    worker count.
+    The axis frame is scored from its coordinates' distances.  The random
+    frames are scored in `workers` consecutive groups on pool, one task
+    per group, each frame's K projections by one
+    wasserstein_1d_to_gaussian call; pool.map returns the groups in
+    order, so the scores are in candidate order and the choice does not
+    depend on the worker count.
     """
     d = X.shape[1]
     rng = np.random.default_rng(seed)
     Xt = np.ascontiguousarray(X.T)
-    candidates = np.concatenate([_axis_candidate(Xt, n_slices)[None],
-                                 _random_orthonormal(rng, n_candidates, d, n_slices)])
-    scores = np.concatenate(list(pool.map(_candidate_scores, [Xt] * workers,
-                                          np.array_split(candidates, workers))))
+    axis_frame, axis_score = _axis_candidate(Xt, n_slices)
+    frames = _random_orthonormal(rng, n_candidates, d, n_slices)
+    scores = [axis_score, *chain.from_iterable(
+        pool.map(_candidate_scores, [Xt] * workers, np.array_split(frames, workers)))]
     best = int(np.argmax(scores))  # ties resolve to the lowest index
-    return candidates[best], float(scores[best])
+    return axis_frame if best == 0 else frames[best - 1], scores[best]
 
 
 def _cpu_count() -> int:
@@ -257,9 +281,13 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     marginal's knots per (conditional bin, slice column), and apply the
     bin-interpolated update to every row.  on_iteration, if given, is
     called with (iteration, before, after): the summed slice Wasserstein
-    score before and after that iteration's update.
-    The slice search runs on one thread pool per fit, sized to the CPUs
-    the process may use; it has no setting and does not change the model.
+    score before and after that iteration's update; the after scores are
+    computed only for it.
+    Each slice's bin samples are gathered into one +inf-padded block, so
+    one fit_marginal_transform call fits all its bins.  The slice search
+    and the update's row blocks run on one thread pool per fit, sized to
+    the CPUs the process may use; it has no setting and does not change
+    the model.
     """
     if config is None:
         config = FitConfig()
@@ -294,26 +322,31 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     # sample or maps each row on its own, so the model does not change
     Z = Z[plan.order]
     bin_idx = bin_idx[plan.order]
-    bin_rows = [np.flatnonzero(bin_idx == b) for b in range(binning.n_bins)]
+    # each bin's rows as a row of indices, padded with n: each slice's
+    # projection ends in a +inf there, which sorts after every sample
+    gather = np.full((binning.n_bins, counts.max()), n)
+    for b in range(binning.n_bins):
+        gather[b, :counts[b]] = np.flatnonzero(bin_idx == b)
 
     layers = []
     seeds = np.random.SeedSequence(config.rng_seed).generate_state(
         config.n_iterations, dtype=np.uint64)
-    workers = min(_cpu_count(), config.n_candidates + 1)
+    workers = _cpu_count()
+    blocks = plan.blocks(workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in range(config.n_iterations):
             W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
                                              int(seeds[i]), pool, workers)
-            # one contiguous row per slice, projected as _apply_layer does
-            Yt = np.ascontiguousarray((Z @ W).T)
-            tables = [KnotTable([fit_marginal_transform(y[rows], config.n_knots)
-                                 for rows in bin_rows], config.derivative_floor)
-                      for y in Yt]
+            # one row per slice, projected as _apply_layer does
+            Yt = np.full((k_slices, n + 1), np.inf)
+            Yt[:, :n] = (Z @ W).T
+            tables = [KnotTable(fit_marginal_transform(y[gather], config.n_knots, counts),
+                                config.derivative_floor) for y in Yt]
             layer = GisLayer(weights=W, tables=tables)
-            Z, P = _apply_layer(layer, Z, plan)
-            after = sum(wasserstein_1d_to_gaussian(P[:, k]) for k in range(k_slices))
+            Z, P = _apply_layer(layer, Z, blocks, map=pool.map)
             layers.append(layer)
             if on_iteration is not None:
+                after = sum(wasserstein_1d_to_gaussian(P.T, axis=1).tolist())
                 on_iteration(i, before, after)
 
     return FlowModel(dim=d, shift=shift, scale=scale, binning=binning,

@@ -299,7 +299,11 @@ def _pow(x, power):
 
 
 def check_radius(R, name="R"):
-    """Raise ConfigError unless R > 0 and R * R is positive and finite."""
+    """Raise ConfigError unless R > 0 and R * R is positive and finite.
+
+    The rule is taken on float(R), whose square overflows or underflows
+    without numpy's warnings."""
+    R = float(R)
     if not (R > 0 and 0 < R * R < math.inf):
         raise ConfigError(f"{name} must be positive with a positive finite square")
 

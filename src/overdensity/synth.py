@@ -56,7 +56,7 @@ class ToyConfig:
     signal_x_width), centred on the background ridge at signal_m, making
     the blob a pure local over-density rather than an outlier.  slope and
     intercept must be finite, and the widths and m_range's span positive
-    and finite.
+    and finite; m_range holds exactly 2 values.
     """
 
     n_background: int = 50_000
@@ -73,6 +73,8 @@ class ToyConfig:
         d = len(self.slope)
         if not (len(self.intercept) == len(self.sigma) == len(self.signal_x_width) == d):
             raise ConfigError("slope, intercept, sigma and signal_x_width must share a length")
+        if len(self.m_range) != 2:
+            raise ConfigError("m_range must hold exactly 2 values")
         widths = (*self.sigma, *self.signal_x_width, self.signal_m_width,
                   self.m_range[1] - self.m_range[0])
         if not all(0 < w < math.inf for w in widths):
@@ -151,7 +153,8 @@ class LhcLikeConfig:
     marginals; jet mass is correlated with m_jj.  m_window's span,
     m_falloff, jet_mass_logwidth, dm_shape, dm_scale, tau_beta and the
     jet-mass scale jet_mass_floor + jet_mass_fraction * m_jj at both ends
-    of m_window must be positive and finite."""
+    of m_window must be positive and finite; m_window and tau_beta hold
+    exactly 2 values each."""
 
     n_background: int = 999_200
     n_signal: int = 800
@@ -168,6 +171,8 @@ class LhcLikeConfig:
     def __post_init__(self):
         if self.n_background < 0 or self.n_signal < 0:
             raise ConfigError("counts must be non-negative")
+        if len(self.m_window) != 2 or len(self.tau_beta) != 2:
+            raise ConfigError("m_window and tau_beta must each hold exactly 2 values")
         lo, hi = self.m_window
         scale = [self.jet_mass_floor + self.jet_mass_fraction * m for m in (lo, hi)]
         shapes = (self.m_falloff, self.jet_mass_logwidth, self.dm_shape, self.dm_scale)

@@ -313,24 +313,30 @@ def _knot_levels(n_knots: int):
     return p, z
 
 
-def _linear_quantiles(s, p):
+def _linear_quantiles(s, p, sizes=None):
     """Quantiles of the ascending sample s at levels p in [0, 1]:
     np.quantile(s, p)'s default linear method, bit for bit, with the
     same arithmetic (virtual index (n - 1) p, and a lerp taken from the
     upper neighbour where its weight g is >= 0.5).  The one exception is
     the sign of a zero quantile in a sample holding both 0.0 and -0.0:
-    np.quantile's partition may order the two differently from a sort."""
-    v = (s.size - 1) * p
+    np.quantile's partition may order the two differently from a sort.
+
+    Given sizes, s is a 2-D block of ascending rows and row r's sample
+    is its first sizes[r] entries; a (rows, levels) array of each row's
+    quantiles, taken at its own size, comes back.
+    """
+    last = np.expand_dims(np.asarray(s.shape[-1] if sizes is None else sizes) - 1, -1)
+    v = last * p
     below = np.floor(v)
     g = v - below
     i = below.astype(np.intp)
-    a = s[i]
-    b = s[np.minimum(i + 1, s.size - 1)]
+    a = np.take_along_axis(s, i, axis=-1)
+    b = np.take_along_axis(s, np.minimum(i + 1, last), axis=-1)
     diff = b - a
     return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
 
 
-def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS):
+def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS, sizes=None):
     """Fit the marginal Gaussianizer of a scalar sample; returns its
     strictly increasing (knots_in, knots_out).
 
@@ -338,44 +344,73 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS):
     (j + 0.5) / n_knots; output knots are the standard-normal quantiles
     at the same levels.  Duplicate quantiles (tied data) are merged,
     keeping the first of each run.
+
+    Given sizes, samples is a 2-D block of samples, one per row: row r's
+    sample is its first sizes[r] entries, and +inf pads it to the
+    block's width.  One call sorts the rows, and a list of each row's
+    (knots_in, knots_out) comes back, bit for bit the pair of that
+    sample on its own (but for the sign of a zero knot, see
+    _linear_quantiles).  A check that fails raises what it would raise
+    on the first row that fails it.
     """
-    s = np.sort(np.asarray(samples, dtype=float), axis=None)
-    # -inf sorts first, +inf and nan last
-    if s.size and not (np.isfinite(s[0]) and np.isfinite(s[-1])):
-        raise InputError("samples must be finite")
+    one = sizes is None
+    if one:
+        s = np.sort(np.asarray(samples, dtype=float), axis=None)[None]
+        sizes = np.array([s.shape[1]])
+    else:
+        s = np.sort(np.asarray(samples, dtype=float), axis=1)
+        sizes = np.asarray(sizes)
+    rows = np.arange(s.shape[0])
+    # -inf sorts first, +inf, nan and the padding last
+    if s.shape[1]:
+        low, high = s[:, 0], s[rows, sizes - 1]
+        if not ((np.isfinite(low) & np.isfinite(high)) | (sizes == 0)).all():
+            raise InputError("samples must be finite")
     if n_knots < 2:
         raise InputError("n_knots must be at least 2")
-    if s.size < 2 * n_knots:
-        raise FitError(f"need at least {2 * n_knots} samples for {n_knots} knots, got {s.size}")
-    if s[-1] - s[0] == 0.0:
+    short = np.flatnonzero(sizes < 2 * n_knots)
+    if short.size:
+        raise FitError(f"need at least {2 * n_knots} samples for {n_knots} knots, "
+                       f"got {sizes[short[0]]}")
+    if (high - low == 0.0).any():
         raise FitError("samples have zero variance; marginal transform is degenerate")
 
     p, z = _knot_levels(n_knots)
-    q = _linear_quantiles(s, p)
+    q = _linear_quantiles(s, p, sizes)
     # Merge knots closer than a relative epsilon, keeping the first of each
     # run: gaps that small are one atom of the distribution, and they would
     # otherwise blow up the interpolant slopes.
-    min_gap = 1e-14 * max(np.ptp(q), np.finfo(float).tiny)
-    keep = np.concatenate(([True], np.diff(q) > min_gap))
-    q = q[keep]
-    if q.size < 2:
+    min_gap = 1e-14 * np.maximum(np.ptp(q, axis=1), np.finfo(float).tiny)
+    keep = np.ones(q.shape, dtype=bool)
+    keep[:, 1:] = np.diff(q, axis=1) > min_gap[:, None]
+    if (keep.sum(axis=1) < 2).any():
         raise FitError("fewer than 2 distinct quantile knots; samples are degenerate")
-    return q, z[keep]
+    pairs = [(row[kept], z[kept]) for row, kept in zip(q, keep)]
+    return pairs[0] if one else pairs
 
 
-def wasserstein_1d_to_gaussian(samples) -> float:
+def wasserstein_1d_to_gaussian(samples, axis=None):
     """Order-1 Wasserstein distance from a 1D sample to N(0, 1).
 
     Computed by quantile matching: mean |sorted sample - normal quantile|
-    at plotting positions (j - 0.5) / n.
+    at plotting positions (j - 0.5) / n.  With axis None the samples are
+    one flattened sample and a float comes back.  Given an axis, each
+    1-D slice along it is a sample, and an array of their distances comes
+    back from one sort call, one subtraction, one absolute value and one
+    mean: bit for bit each slice's distance on its own, since numpy sums
+    each contiguous row pairwise, as it sums a 1-D sample.
     """
-    s = np.sort(np.asarray(samples, dtype=float), axis=None)
-    if s.size < 2:
+    s = np.asarray(samples, dtype=float)
+    # a copy with each sample a contiguous row
+    s = s.flatten() if axis is None else np.moveaxis(s, axis, -1).copy(order="C")
+    s.sort(axis=-1)
+    if s.shape[-1] < 2:
         raise InputError("need at least 2 samples")
     # -inf sorts first, +inf and nan last
-    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+    if not (np.isfinite(s[..., 0]).all() and np.isfinite(s[..., -1]).all()):
         raise InputError("samples must be finite")
     # (j + 0.5) / n for j = 0 .. n - 1 are the same doubles as (j - 0.5) / n
     # for j = 1 .. n
-    s -= _knot_levels(s.size)[1]
-    return float(np.abs(s, out=s).mean())
+    s -= _knot_levels(s.shape[-1])[1]
+    w1 = np.abs(s, out=s).mean(axis=-1)
+    return float(w1) if axis is None else w1

@@ -346,6 +346,23 @@ def test_radius_whose_square_is_not_positive_and_finite_exits_2(tmp_path, capsys
         assert not (tmp_path / "features.csv.manifest.json").exists()
 
 
+def test_fit_writes_the_same_model_with_and_without_quiet(pipeline_dir, tmp_path, capsys):
+    # the fit skips the after-update distances when nothing reports them;
+    # they must not feed back into the model
+    features = str(pipeline_dir / "data" / "features.csv")
+    models = []
+    for quiet in ([], ["--quiet"]):
+        model = tmp_path / f"model{len(models)}.txt"
+        assert main(["fit", "--features", features, "--model-out", str(model),
+                     "--iterations", "3", "--bins", "3", "--knots", "12",
+                     "--candidates", "4", *quiet]) == 0
+        models.append(model.read_bytes())
+        progress = [ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("iteration")]
+        assert len(progress) == (0 if quiet else 3)
+    assert models[0] == models[1]
+
+
 def _features_with_workers(monkeypatch, workers, argv):
     monkeypatch.setattr(flow, "_cpu_count", lambda: workers)
     code = main(["features", *argv])

@@ -7,12 +7,14 @@ from knot_tables import knot_table
 from overdensity import conditional
 from overdensity.conditional import (
     ConditionalBinning,
+    InterpPlan,
     KnotTable,
     _count_le,
     _interpolate_rows as interpolate,
     build_binning,
     eval_binned,
     interpolated_inverse,
+    interpolated_transform,
 )
 from overdensity.errors import ConfigError, FitError, InputError
 from overdensity.transforms import Marginal1DTransform, fit_marginal_transform
@@ -210,6 +212,24 @@ def test_knot_table_matches_transform_bit_for_bit(family):
     z, _ = interpolate(table, bins, hi, t, ys)
     back, _ = interpolate(table, bins, hi, t, interpolated_inverse(table, bins, hi, t, z))
     assert_allclose(back, z, rtol=1e-10, atol=1e-10)
+
+
+@given(binned_family(), st.integers(1, 9))
+def test_plan_blocks_map_as_the_whole_plan(family, parts):
+    # the fit's update evaluates each slice over consecutive row blocks
+    transforms, bins, ys, t = family
+    table = knot_table(transforms)
+    plan = InterpPlan(bins, np.minimum(bins + 1, len(transforms) - 1), t)
+    y = ys[plan.order]
+    whole = np.column_stack(interpolated_transform(table, plan.bins, plan.t, plan.s, y))
+    for n_blocks in (parts, y.size + parts):  # more blocks than rows leaves some empty
+        blocks = plan.blocks(n_blocks)
+        assert len(blocks) == n_blocks
+        assert [(rows.start, rows.stop) for rows, *_ in blocks] == [
+            (y.size * i // n_blocks, y.size * (i + 1) // n_blocks) for i in range(n_blocks)]
+        got = np.concatenate([np.column_stack(interpolated_transform(table, b, bt, bs, y[rows]))
+                              for rows, b, bt, bs in blocks])
+        assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
 
 def _ulp_steps(start, steps):

@@ -204,7 +204,8 @@ def test_fit_is_deterministic(rng):
 @pytest.mark.parametrize("n_candidates", [1, 16])
 def test_model_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_candidates):
     # the fit scores its candidate frames in consecutive groups on a pool
-    # of one thread per CPU, capped at the number of candidates
+    # of one thread per CPU, and the update maps each slice over as many
+    # consecutive row blocks; more workers than candidates leave groups empty
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3000, 3)) ** 3
     m = rng.uniform(size=3000)

@@ -246,6 +246,16 @@ def test_radius_whose_square_is_not_positive_and_finite_is_rejected(R):
         extract_features(particles, R=R)
 
 
+@pytest.mark.parametrize("R", [np.float64(1e200), np.float64(np.inf), np.float64(1e-200)])
+def test_numpy_scalar_radius_is_rejected_without_a_warning(R):
+    # a numpy scalar's square warns of overflow or underflow; the suite
+    # makes a RuntimeWarning an error, which would replace the ConfigError
+    particles = [Particle(pt=300.0, eta=0.1, phi=0.0), Particle(pt=120.0, eta=0.5, phi=0.3)]
+    with pytest.raises(ConfigError) as exc:
+        cluster_antikt(particles, R=R)
+    assert str(exc.value) == "R must be positive with a positive finite square"
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0),
        st.integers(min_value=-8, max_value=8))
 def test_wrap_phi_is_periodic_and_bounded(phi, k):

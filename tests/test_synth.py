@@ -122,6 +122,21 @@ def test_lhc_rejects_unusable_values(bad):
                               "and finite")
 
 
+@pytest.mark.parametrize("make, bad", [
+    (LhcLikeConfig, {"tau_beta": (4.0,)}), (LhcLikeConfig, {"tau_beta": (4.0, 3.0, 1.0)}),
+    (LhcLikeConfig, {"m_window": (2250.0, 4750.0, 5000.0)}),
+    (LhcLikeConfig, {"m_window": (2250.0,)}),
+    (ToyConfig, {"m_range": (0.0, 1.0, 2.0)}), (ToyConfig, {"m_range": (0.0,)}),
+], ids=["tau_beta-1", "tau_beta-3", "m_window-3", "m_window-1", "m_range-3", "m_range-1"])
+def test_pair_fields_need_exactly_two_values(make, bad):
+    # a short pair failed later with a bare IndexError or ValueError, and
+    # a long one was accepted with its extra values ignored
+    with pytest.raises(ConfigError) as exc:
+        make(n_background=20, n_signal=2, **bad)
+    assert str(exc.value) == ("m_range must hold exactly 2 values" if make is ToyConfig else
+                              "m_window and tau_beta must each hold exactly 2 values")
+
+
 def test_lhc_shapes_names_and_window():
     ds = generate_lhc_like(LhcLikeConfig(n_background=3000, n_signal=30), seed=2)
     assert ds.features.shape == (3030, 4)

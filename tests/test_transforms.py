@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -277,6 +279,75 @@ def test_quantile_knots_match_numpy_bit_for_bit(data, n_knots):
     # partition and a sort may order tied zeros of opposite sign differently
     s += 0.0
     _assert_same_bits(transforms._linear_quantiles(s, p), np.quantile(s, p))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("n", [2, 3, 1000, 1001, 24576])
+def test_stacked_wasserstein_matches_each_row_bit_for_bit(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    rows = rng.standard_normal((k, n)) ** 3
+    rows[0, : n // 2] = 0.0  # ties of zeros of both signs
+    rows[0, n // 4: n // 2] = -0.0
+    if k > 1:
+        rows[1].sort()  # already sorted
+    if k > 2:
+        rows[2, ::-1].sort()  # sorted descending
+    w1 = wasserstein_1d_to_gaussian(rows, axis=1)
+    assert w1.shape == (k,)
+    for row, distance in zip(rows, w1):
+        _assert_same_bits(distance, wasserstein_1d_to_gaussian(row))
+    # along the other axis: the rows of the transpose
+    _assert_same_bits(wasserstein_1d_to_gaussian(rows.T, axis=0), w1)
+    with pytest.raises(InputError, match="finite"):
+        wasserstein_1d_to_gaussian(np.where(np.arange(n) == n - 1, np.nan, rows), axis=1)
+
+
+@given(st.data(), st.sampled_from([2, 8, 16]))
+def test_stacked_marginal_fit_matches_each_bin_bit_for_bit(data, n_knots):
+    # one padded block of unequal bins, as the fit gathers a slice's bins
+    n_bins = data.draw(st.integers(min_value=1, max_value=6))
+    sizes = data.draw(st.lists(st.one_of(st.just(2 * n_knots),
+                                         st.integers(min_value=2 * n_knots, max_value=300)),
+                               min_size=n_bins, max_size=n_bins))
+    samples = []
+    for size in sizes:
+        ties = data.draw(st.booleans())
+        element = st.integers(min_value=0, max_value=3) if ties else finite
+        # + 0.0 turns -0.0 into 0.0: a sort may order tied zeros of
+        # opposite sign either way, and the zero knot's sign with them
+        sample = np.asarray(data.draw(st.lists(element, min_size=size, max_size=size)),
+                            dtype=float) + 0.0
+        if np.ptp(sample) == 0.0:
+            sample[0] += 1.0
+        samples.append(sample)
+    block = np.full((n_bins, max(sizes)), np.inf)
+    for row, sample in zip(block, samples):
+        row[:sample.size] = sample
+    try:
+        expected = [fit_marginal_transform(sample, n_knots) for sample in samples]
+    except FitError as exc:  # fewer than 2 distinct knots in some bin
+        with pytest.raises(FitError, match=re.escape(str(exc))):
+            fit_marginal_transform(block, n_knots, sizes)
+        return
+    pairs = fit_marginal_transform(block, n_knots, sizes)
+    assert len(pairs) == n_bins
+    for (knots_in, knots_out), (q, z) in zip(pairs, expected):
+        _assert_same_bits(knots_in, q)
+        _assert_same_bits(knots_out, z)
+
+
+def test_stacked_marginal_fit_names_the_first_failing_row():
+    block = np.full((3, 40), np.inf)
+    block[:, :32] = np.arange(32.0)
+    bad = block.copy()
+    bad[1, 5] = np.nan
+    with pytest.raises(InputError, match="samples must be finite"):
+        fit_marginal_transform(bad, 8, [32, 32, 32])
+    with pytest.raises(FitError, match="need at least 16 samples for 8 knots, got 15"):
+        fit_marginal_transform(block, 8, [32, 15, 12])
+    block[2, :32] = 1.0
+    with pytest.raises(FitError, match="zero variance"):
+        fit_marginal_transform(block, 8, [32, 32, 32])
 
 
 def _fit_with_scipy(samples, n_knots):
