@@ -14,10 +14,14 @@ exactly K marginal log-derivative terms to the log-Jacobian.
 The fit runs each layer in whole-block numpy calls on a thread pool with
 one worker per CPU the process may use: a candidate frame's K projections
 are scored by one sort call, a slice's bin marginals are fitted from one,
-and the update maps each slice over one row block per worker (the sorts
-and the array arithmetic release the interpreter lock).  Scores come back
-in candidate order and every row maps on its own, so the model is
+and the update maps each slice over row blocks of at most _BLOCK_ROWS rows
+(the sorts and the array arithmetic release the interpreter lock).  Scores
+come back in candidate order and every row maps on its own, so the model is
 byte-identical for any number of CPUs.
+
+Its working memory is a fixed number of n-row arrays: each worker sorts its
+candidates' projections in one K x n buffer allocated once per fit, and the
+layer update overwrites the standardised rows in place.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from .transforms import (DEFAULT_DERIVATIVE_FLOOR, DEFAULT_KNOTS,
 MODEL_FORMAT_HEADER = "GISFLOW v1"
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# the most rows in one block of the fit's update, which keeps each
+# worker's temporaries cache-sized at any number of rows
+_BLOCK_ROWS = 8192
 
 
 def event_batch(x, m):
@@ -120,15 +128,16 @@ def _slice_block(table, y, p, log_det, block):
 
 
 def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map):
-    """Apply one layer to the rows of Z, taken in the order of the plan
-    cut into row blocks (InterpPlan.blocks).
+    """Apply one layer in place to the rows of Z, taken in the order of the
+    plan cut into row blocks (InterpPlan.blocks).
 
-    Returns (Z', P), P being the transformed slice coordinates.  Each
-    slice in turn has its blocks evaluated through map (the fit passes
-    its pool's), each slice's log-derivative being added into log_det, if
-    given.  Every row maps on its own, so the blocks do not change a bit.
-    Both d x K products stay whole-array calls in the calling thread: a
-    BLAS product's bits can depend on its row count.
+    Z becomes Z + (P - Y) W^T, Y = Z W being the slice coordinates and P
+    their transforms, which are returned.  Each slice in turn has its
+    blocks evaluated through map (the fit passes its pool's, with blocks
+    of at most _BLOCK_ROWS rows), each slice's log-derivative being added
+    into log_det, if given.  Every row maps on its own, so the blocks do
+    not change a bit.  Both d x K products stay whole-array calls in the
+    calling thread: a BLAS product's bits can depend on its row count.
     interpolated_transform is looked up in this module on every call, which
     is where perfbench's tracer patches it.
     """
@@ -137,7 +146,8 @@ def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map):
     P = np.empty_like(Y)
     for k, table in enumerate(layer.tables):
         list(map(partial(_slice_block, table, Y[:, k], P[:, k], log_det), blocks))
-    return Z + (P - Y) @ W.T, P
+    Z += np.subtract(P, Y, out=Y) @ W.T
+    return P
 
 
 @dataclass
@@ -179,7 +189,7 @@ class FlowModel:
         Z = (X[plan.order] - self.shift) / self.scale
         log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         for layer in self.layers:
-            Z, _ = _apply_layer(layer, Z, blocks, log_det)
+            _apply_layer(layer, Z, blocks, log_det)
         return plan.restore(Z), plan.restore(log_det)
 
     def inverse(self, z, m):
@@ -236,29 +246,30 @@ def _random_orthonormal(rng, n, d, k):
     return Q * sign[:, None, :]
 
 
-def _candidate_scores(Xt, frames):
-    # projected as W^T X^T, so each slice's sample is a contiguous row; the
-    # slices' distances are summed in slice order
-    return [sum(wasserstein_1d_to_gaussian(W.T @ Xt, axis=1).tolist()) for W in frames]
+def _candidate_scores(Xt, frames, buf):
+    # projected as W^T X^T into buf, so each slice's sample is a contiguous
+    # row, and sorted there; the slices' distances are summed in slice order
+    return [sum(wasserstein_1d_to_gaussian(np.matmul(W.T, Xt, out=buf), axis=1,
+                                           overwrite=True).tolist()) for W in frames]
 
 
-def _select_slice_scored(X, n_slices, n_candidates, seed, pool, workers):
+def _select_slice_scored(X, n_slices, n_candidates, seed, pool, buffers):
     """Best of the axis frame and n_candidates random frames, with its score.
 
     The axis frame is scored from its coordinates' distances.  The random
-    frames are scored in `workers` consecutive groups on pool, one task
-    per group, each frame's K projections by one
-    wasserstein_1d_to_gaussian call; pool.map returns the groups in
-    order, so the scores are in candidate order and the choice does not
-    depend on the worker count.
+    frames are scored in one consecutive group per (K, n) buffer on pool,
+    one task per group, each frame's K projections by one
+    wasserstein_1d_to_gaussian call that sorts them in the group's buffer;
+    pool.map returns the groups in order, so the scores are in candidate
+    order and the choice does not depend on the number of groups.
     """
     d = X.shape[1]
     rng = np.random.default_rng(seed)
     Xt = np.ascontiguousarray(X.T)
     axis_frame, axis_score = _axis_candidate(Xt, n_slices)
     frames = _random_orthonormal(rng, n_candidates, d, n_slices)
-    scores = [axis_score, *chain.from_iterable(
-        pool.map(_candidate_scores, [Xt] * workers, np.array_split(frames, workers)))]
+    scores = [axis_score, *chain.from_iterable(pool.map(
+        _candidate_scores, [Xt] * len(buffers), np.array_split(frames, len(buffers)), buffers))]
     best = int(np.argmax(scores))  # ties resolve to the lowest index
     return axis_frame if best == 0 else frames[best - 1], scores[best]
 
@@ -305,7 +316,6 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     if np.any(scale == 0):
         bad = int(np.flatnonzero(scale == 0)[0])
         raise FitError(f"feature column {bad} has zero variance")
-    Z = (X - shift) / scale
 
     binning = build_binning(m, config.n_conditional_bins, min_occupancy=min_per_bin)
     bin_idx = binning.assign(m)
@@ -316,11 +326,10 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
         raise FitError(f"conditional bin {b} [{binning.edges[b]:g}, "
                        f"{binning.edges[b + 1]:g}] has {counts[b]} samples; "
                        f"needs >= {min_per_bin}")
-    lo, hi, t = binning.interp_weights(m)
-    plan = InterpPlan(lo, hi, t)
+    plan = InterpPlan(*binning.interp_weights(m))
     # the fit runs on the rows in plan order: every step below sorts its
     # sample or maps each row on its own, so the model does not change
-    Z = Z[plan.order]
+    Z = (X[plan.order] - shift) / scale
     bin_idx = bin_idx[plan.order]
     # each bin's rows as a row of indices, padded with n: each slice's
     # projection ends in a +inf there, which sorts after every sample
@@ -332,22 +341,27 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     seeds = np.random.SeedSequence(config.rng_seed).generate_state(
         config.n_iterations, dtype=np.uint64)
     workers = _cpu_count()
-    blocks = plan.blocks(workers)
+    # blocks of at most _BLOCK_ROWS rows, a multiple of the worker count
+    blocks = plan.blocks(workers * -(-n // (_BLOCK_ROWS * workers)))
+    # one candidate group, and one projection buffer, per busy worker
+    buffers = [np.empty((k_slices, n)) for _ in range(min(workers, config.n_candidates))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in range(config.n_iterations):
             W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
-                                             int(seeds[i]), pool, workers)
+                                             int(seeds[i]), pool, buffers)
             # one row per slice, projected as _apply_layer does
             Yt = np.full((k_slices, n + 1), np.inf)
             Yt[:, :n] = (Z @ W).T
             tables = [KnotTable(fit_marginal_transform(y[gather], config.n_knots, counts),
                                 config.derivative_floor) for y in Yt]
+            del Yt  # not held through the update
             layer = GisLayer(weights=W, tables=tables)
-            Z, P = _apply_layer(layer, Z, blocks, map=pool.map)
+            P = _apply_layer(layer, Z, blocks, map=pool.map)
             layers.append(layer)
             if on_iteration is not None:
                 after = sum(wasserstein_1d_to_gaussian(P.T, axis=1).tolist())
                 on_iteration(i, before, after)
+            del P  # nor through the next layer's search
 
     return FlowModel(dim=d, shift=shift, scale=scale, binning=binning,
                      layers=layers, derivative_floor=config.derivative_floor)

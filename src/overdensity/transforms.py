@@ -389,7 +389,7 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS, sizes=None):
     return pairs[0] if one else pairs
 
 
-def wasserstein_1d_to_gaussian(samples, axis=None):
+def wasserstein_1d_to_gaussian(samples, axis=None, overwrite=False):
     """Order-1 Wasserstein distance from a 1D sample to N(0, 1).
 
     Computed by quantile matching: mean |sorted sample - normal quantile|
@@ -399,10 +399,19 @@ def wasserstein_1d_to_gaussian(samples, axis=None):
     back from one sort call, one subtraction, one absolute value and one
     mean: bit for bit each slice's distance on its own, since numpy sums
     each contiguous row pairwise, as it sums a 1-D sample.
+    The samples are copied first, unless overwrite is set, an axis is
+    given and each sample along it is already a contiguous row of a
+    writeable float64 array (a C-contiguous one taken along its last
+    axis): then they are sorted and overwritten in place.
     """
     s = np.asarray(samples, dtype=float)
-    # a copy with each sample a contiguous row
-    s = s.flatten() if axis is None else np.moveaxis(s, axis, -1).copy(order="C")
+    if axis is None:
+        s = s.flatten()
+    else:
+        s = np.moveaxis(s, axis, -1)
+        if not (overwrite and s.flags.c_contiguous and s.flags.writeable):
+            # a copy with each sample a contiguous row
+            s = s.copy(order="C")
     s.sort(axis=-1)
     if s.shape[-1] < 2:
         raise InputError("need at least 2 samples")

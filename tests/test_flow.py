@@ -1,4 +1,6 @@
 import threading
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from overdensity.anomaly import ScoreConfig, score_events
 from overdensity.errors import ConfigError, FitError, InputError
 from overdensity.flow import (FitConfig, FlowModel, _random_orthonormal, fit_gis, load_model,
                               save_model)
+from overdensity.synth import LhcLikeConfig, generate_lhc_like
 
 
 @pytest.fixture(scope="module")
@@ -204,24 +207,52 @@ def test_fit_is_deterministic(rng):
 @pytest.mark.parametrize("n_candidates", [1, 16])
 def test_model_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_candidates):
     # the fit scores its candidate frames in consecutive groups on a pool
-    # of one thread per CPU, and the update maps each slice over as many
-    # consecutive row blocks; more workers than candidates leave groups empty
+    # of one thread per CPU, and the update maps each slice over row blocks
+    # of at most flow._BLOCK_ROWS rows, as many for each worker; more
+    # workers than candidates leave some workers without a group, and caps
+    # of 64 and 1,000 rows cut the 3,000 rows into several unequal blocks
+    # per worker.  The progress reads the transformed slices, so it must
+    # match too.
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3000, 3)) ** 3
     m = rng.uniform(size=3000)
     cfg = FitConfig(n_iterations=3, n_slices=2, n_conditional_bins=3, n_knots=16,
                     n_candidates=n_candidates, rng_seed=4)
     fits = []
-    for workers in (1, 2, 3, n_candidates + 5):
+    for workers, block_rows in product((1, 2, 3, n_candidates + 5),
+                                       (flow._BLOCK_ROWS, 64, 1000)):
         monkeypatch.setattr(flow, "_cpu_count", lambda workers=workers: workers)
+        monkeypatch.setattr(flow, "_BLOCK_ROWS", block_rows)
         threads = threading.active_count()
         progress = []
         model = fit_gis(x, m, cfg, on_iteration=lambda i, b, a: progress.append((i, b, a)))
         assert threading.active_count() == threads  # no pool thread outlives the fit
-        path = tmp_path / f"workers{workers}.txt"
+        path = tmp_path / f"workers{workers}_rows{block_rows}.txt"
         save_model(model, str(path))
         fits.append((path.read_bytes(), progress))
     assert all(fit == fits[0] for fit in fits[1:])
+
+
+def test_fit_working_memory_is_bounded(monkeypatch):
+    # the fit holds a fixed number of n-row arrays (the standardised rows,
+    # one K x n search buffer per worker, a layer's slice coordinates and
+    # their transforms) plus row blocks of at most flow._BLOCK_ROWS rows.
+    # This fit at two workers peaked at 9.5 times the feature matrix above
+    # its entry; with a fresh projection and a sorted copy per candidate,
+    # one row block per worker and an update that was not in place, 15.2.
+    # Uncapped blocks alone read 13.5, and a layer's slice arrays kept
+    # through the next search 11.5.
+    monkeypatch.setattr(flow, "_cpu_count", lambda: 2)
+    data = generate_lhc_like(LhcLikeConfig(n_background=100_000, n_signal=0), seed=0)
+    cfg = FitConfig(n_iterations=2, n_conditional_bins=40, n_knots=64, rng_seed=0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fit_gis(data.features, data.conditionals, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * data.features.nbytes
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2024])

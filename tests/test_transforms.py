@@ -292,12 +292,20 @@ def test_stacked_wasserstein_matches_each_row_bit_for_bit(k, n):
         rows[1].sort()  # already sorted
     if k > 2:
         rows[2, ::-1].sort()  # sorted descending
+    kept = rows.copy()
     w1 = wasserstein_1d_to_gaussian(rows, axis=1)
     assert w1.shape == (k,)
     for row, distance in zip(rows, w1):
         _assert_same_bits(distance, wasserstein_1d_to_gaussian(row))
     # along the other axis: the rows of the transpose
     _assert_same_bits(wasserstein_1d_to_gaussian(rows.T, axis=0), w1)
+    assert rows.tobytes() == kept.tobytes()  # the copying calls left it alone
+    # sorted in place: the same bits
+    _assert_same_bits(wasserstein_1d_to_gaussian(kept.copy(), axis=1, overwrite=True), w1)
+    # a sample along axis 0, or not contiguous, is copied first
+    for samples, axis in ((np.ascontiguousarray(rows.T), 0),
+                          (np.repeat(rows, 2, axis=1)[:, ::2], 1)):
+        _assert_same_bits(wasserstein_1d_to_gaussian(samples, axis=axis, overwrite=True), w1)
     with pytest.raises(InputError, match="finite"):
         wasserstein_1d_to_gaussian(np.where(np.arange(n) == n - 1, np.nan, rows), axis=1)
 
