@@ -56,7 +56,7 @@ def main() -> None:
                           ScoreConfig(sigma=250.0, thresholds=(1.5, 2.5, 5.0)))
 
     # Step 1: which 100 GeV slice of the conditional axis looks most anomalous?
-    rows = scan_profile(report, dataset.event_arrays(), bin_width=100.0)
+    rows = scan_profile(report.alphas, dataset.conditionals, bin_width=100.0)
     peak = max((r for r in rows if r.count), key=lambda r: r.alpha_max)
     print(f"hottest mass bin: [{peak.m_lo:.0f}, {peak.m_hi:.0f}) "
           f"alpha_max={peak.alpha_max:.1f}")

@@ -15,7 +15,13 @@ Each distinct density row is evaluated once: the interpolation weights
 depend on m only through its clip to the first and last bin centers, so
 an event's points past either of them share one row.  score_events
 returns the scores and the events above each threshold; summarize
-describes a selection.
+describes a selection, and scan_profile histograms alpha over m.
+
+An event's score depends on no other event, and score_events works in
+fixed chunks of _CHUNK_ROWS events, so a large file can be scored a group
+of chunks at a time (the CLI does) with the same bits.  A chunk's working
+memory is one forward pass over its distinct density rows, about
+9 x _CHUNK_ROWS rows with the default quadrature.
 """
 
 from __future__ import annotations
@@ -247,26 +253,37 @@ def summarize(events, selection, feature_names) -> SelectionSummary:
     return SelectionSummary(n_selected=n, stats=stats)
 
 
-def scan_profile(report: AnomalyReport, events, bin_width: float):
+def scan_profile(alphas, m, bin_width: float):
     """Histogram the alpha profile over m: per fixed-width bin, the event
-    count, max alpha and 99th-percentile alpha (None when empty)."""
+    count, max alpha and 99th-percentile alpha (None when empty).
+
+    alphas and m hold one value per event (a report's alphas and the
+    scored conditionals); the scan reads nothing else.
+    """
     if not 0 < bin_width < math.inf:
         raise ConfigError("scan_bin_width must be positive and finite")
-    _, mv = event_batch(*events)
+    alphas = np.asarray(alphas, dtype=float)
+    mv = np.asarray(m, dtype=float).ravel()
+    if mv.size != alphas.size:
+        raise InputError("alphas and conditionals differ in length")
+    if not np.isfinite(mv).all():
+        raise InputError("conditionals must be finite")
     if mv.size == 0:
         return []
-    if mv.size != report.alphas.size:
-        raise InputError("events do not match the report")
     # bin numbers m / bin_width past 2**53 are not whole doubles; divided
     # as Python floats, an overflow is inf, not a warning
     if not max(-float(mv.min()), float(mv.max())) / bin_width < 2.0**53:
         raise ConfigError(f"scan_bin_width = {bin_width:g} numbers the bins of m beyond 2**53")
     lo = np.floor(mv.min() / bin_width) * bin_width
     n_bins = int(np.floor((mv.max() - lo) / bin_width)) + 1
-    idx = np.clip(((mv - lo) / bin_width).astype(int), 0, n_bins - 1)
+    # each event's bin trunc((m - lo) / bin_width), clipped to the bins, in
+    # one array of whole doubles
+    idx = mv - lo
+    idx /= bin_width
+    np.clip(np.trunc(idx, out=idx), 0, n_bins - 1, out=idx)
     rows = []
     for b in range(n_bins):
-        a = report.alphas[idx == b]
+        a = alphas[idx == b]
         rows.append(ScanRow(m_lo=lo + b * bin_width, m_hi=lo + (b + 1) * bin_width,
                             count=a.size, alpha_max=float(a.max()) if a.size else None,
                             alpha_p99=float(np.percentile(a, 99)) if a.size else None))

@@ -7,6 +7,11 @@ CPUs (fit's slice search and features' worker processes use every CPU the
 process may run on).  That holds on one machine: another CPU or BLAS
 kernel can change the last bits of models and synthetic features.
 
+score reads, scores and writes its features file a group of scoring
+chunks at a time, so its memory grows by m and alpha (16 bytes an event)
+and the rows of the events above the lowest threshold; fit holds the
+whole feature matrix, but not the event ids.
+
 Exit codes: 0 success, 1 input error, 2 config error.
 """
 
@@ -15,8 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from collections import deque
-from contextlib import closing
+from contextlib import closing, contextmanager, suppress
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
@@ -265,6 +271,12 @@ _FIT_SCHEMA = {
 def cmd_fit(args) -> int:
     cfg = _resolve(args, _FIT_SCHEMA)
     table = dataio.read_features(args.features)
+    # the fit needs the ids' count alone, not the ids (Python strings, 67 MB
+    # at 1M events)
+    n_events = table.n_events
+    names = [table.conditional_name, *table.feature_names]
+    X, m = table.event_arrays()
+    del table
     fit_cfg = FitConfig(n_iterations=cfg["iterations"], n_slices=cfg["slices"],
                         n_conditional_bins=cfg["bins"], n_knots=cfg["knots"],
                         n_candidates=cfg["candidates"],
@@ -275,19 +287,18 @@ def cmd_fit(args) -> int:
         print(f"iteration {i + 1:3d}/{cfg['iterations']}  "
               f"slice-W1 before {before:.5f}  after {after:.5f}")
 
-    model = fit_gis(table.features, table.conditionals, fit_cfg,
-                    on_iteration=None if args.quiet else report)
+    model = fit_gis(X, m, fit_cfg, on_iteration=None if args.quiet else report)
     _atomic_write(args.model_out, lambda p: save_model(model, p))
     dataio.write_manifest(f"{args.model_out}.manifest.json", {
         "command": "fit",
         "version": __version__,
         "seed": cfg["seed"],
         "config": {k: cfg[k] for k in _FIT_SCHEMA},
-        "inputs": [_input_entry(args.features, table.n_events)],
-        "outputs": [{"path": args.model_out, "rows": table.n_events}],
-        "feature_names": [table.conditional_name, *table.feature_names],
+        "inputs": [_input_entry(args.features, n_events)],
+        "outputs": [{"path": args.model_out, "rows": n_events}],
+        "feature_names": names,
     })
-    print(f"fitted {len(model.layers)} layers on {table.n_events} events -> {args.model_out}")
+    print(f"fitted {len(model.layers)} layers on {n_events} events -> {args.model_out}")
     return 0
 
 
@@ -305,11 +316,67 @@ _SCORE_SCHEMA = {
 }
 
 
-def _summary_text(report, table) -> str:
-    names = [table.conditional_name, *table.feature_names]
+# scoring chunks per thread that score reads, scores and writes as one
+# group: the pool waits for a group's last chunk, which idles the other
+# threads for a small share of a group this size
+_GROUP_CHUNKS = 16
+
+# glibc's malloc raises its mmap and trim thresholds to the largest mapped
+# block freed.  Scoring group by group frees none, so each chunk's
+# temporaries would be mapped or trimmed and faulted in afresh (200k events
+# at one thread: 560k page faults against 6k, a fifth more time).  score
+# first frees a block of this many doubles, never written to nor resident.
+_RELEASED_DOUBLES = 1 << 19
+
+
+def _event_groups(blocks, size, width):
+    """The (ids, values) blocks of dataio.read_feature_blocks cut into
+    groups of `size` rows, then the rows left: at least one group, an
+    empty one for a file without rows.  values has width columns."""
+    ids, values, held, empty = [], [], 0, True
+    for block_ids, block_values in blocks:
+        ids.extend(block_ids)
+        values.append(block_values)
+        held += len(block_values)
+        if held >= size:
+            whole, group_ids = np.concatenate(values), ids
+            cut = held - held % size
+            # the blocks, and the rows past the groups as a copy, so that a
+            # group holds no block or earlier group while it is scored
+            ids, values, held, empty = ids[cut:], [whole[cut:].copy()], held - cut, False
+            for start in range(0, cut, size):
+                yield group_ids[start:start + size], whole[start:start + size]
+    if held or empty:
+        yield ids, np.concatenate(values) if values else np.zeros((0, width))
+
+
+@contextmanager
+def _output_dir(path):
+    """Make the directory path and its missing parents; if the block
+    raises, remove those of them that are left empty."""
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for made_dir in made:  # the deepest first
+            with suppress(OSError):
+                os.rmdir(made_dir)
+        raise
+
+
+def _summary_text(thresholds, alphas, values, names) -> str:
+    """summary.txt of the events with these alphas and (conditional,
+    features) rows: every scored event above the lowest threshold, in
+    file order, so that each selection is the rows it is over all events."""
     lines = []
-    for thr in report.thresholds:
-        summary = anomaly.summarize(table.event_arrays(), report.selections[thr], names)
+    for thr in thresholds:
+        summary = anomaly.summarize((values[:, 1:], values[:, 0]),
+                                    np.flatnonzero(alphas > thr), names)
         if summary.n_selected == 0:
             lines.append(f"alpha > {thr:g}: no events pass cut")
             continue
@@ -321,27 +388,61 @@ def _summary_text(report, table) -> str:
 
 
 def cmd_score(args) -> int:
+    """Read, score and write the features file a group of scoring chunks at
+    a time (_event_groups), keeping of each group only m, alpha, the flag
+    counts and the rows above the lowest threshold, from which scan.csv,
+    summary.txt and the manifest are made at the end.  scores.csv is renamed
+    into place only once the scan has accepted m's range; an error leaves
+    no output and no directory that the command made."""
     cfg = _resolve(args, _SCORE_SCHEMA)
     model = load_model(args.model)
-    table = dataio.read_features(args.features)
     score_cfg = anomaly.ScoreConfig(sigma=cfg["sigma"], n_quad=cfg["n_quad"],
                                     exclusion_halfwidth=cfg["exclusion"],
                                     thresholds=tuple(cfg["thresholds"]),
                                     signal_sigma=cfg["signal_sigma"])
-    report = anomaly.score_events(model, table.event_arrays(), score_cfg,
-                                  threads=cfg["threads"])
-
-    # before any output, as scan_profile rejects a bad scan_bin_width
-    scan_rows = anomaly.scan_profile(report, table.event_arrays(), cfg["scan_bin_width"])
-    os.makedirs(args.out_dir, exist_ok=True)
+    anomaly.scan_profile([], [], cfg["scan_bin_width"])  # checks the width before any work
+    np.empty(_RELEASED_DOUBLES)  # allocated and freed at once
+    blocks = dataio.read_feature_blocks(args.features)
+    conditional_name, feature_names = next(blocks)
+    names = [conditional_name, *feature_names]
+    groups = _event_groups(blocks, anomaly._CHUNK_ROWS * _GROUP_CHUNKS * max(cfg["threads"], 1),
+                           len(names))
     scores_path = os.path.join(args.out_dir, "scores.csv")
     scan_path = os.path.join(args.out_dir, "scan.csv")
     summary_path = os.path.join(args.out_dir, "summary.txt")
-    n_scores = _atomic_write(scores_path, lambda p: dataio.write_scores(
-        p, table.event_ids, table.conditionals, report))
+
+    kept, kept_alphas = [], []  # of the events above the lowest threshold
+    counts = {"scored": 0, "clamped": 0, "underflow": 0}
+    thresholds = None
+
+    def score_to(path):
+        nonlocal thresholds
+        m, alphas = array("d"), array("d")  # of every event, for the scan
+        for i, (ids, values) in enumerate(groups):
+            report = anomaly.score_events(model, (values[:, 1:], values[:, 0]), score_cfg,
+                                          threads=cfg["threads"])
+            dataio.write_scores(path, ids, values[:, 0], report, append=i > 0)
+            counts["scored"] += len(ids)
+            counts["clamped"] += int(np.sum(report.clamped))
+            counts["underflow"] += int(np.sum(report.underflow))
+            m.frombytes(values[:, 0].tobytes())
+            alphas.frombytes(report.alphas.tobytes())
+            thresholds = report.thresholds
+            above = report.selections[thresholds[0]]
+            kept.append(values[above])
+            kept_alphas.append(report.alphas[above])
+            del report, above  # not held through the next group's scoring
+        # m's range, and with it the scan's bins, is known only now
+        return anomaly.scan_profile(np.frombuffer(alphas), np.frombuffer(m),
+                                    cfg["scan_bin_width"])
+
+    with _output_dir(args.out_dir):
+        scan_rows = _atomic_write(scores_path, score_to)
+    n_scores = counts["scored"]
     n_scan = _atomic_write(scan_path, lambda p: dataio.write_scan(p, scan_rows))
-    if table.n_events:
-        text = _summary_text(report, table)
+    if n_scores:
+        text = _summary_text(thresholds, np.concatenate(kept_alphas), np.concatenate(kept),
+                             names)
     else:
         text = "no events to score\n"
     _atomic_write(summary_path, lambda p: Path(p).write_text(text))  # closes the file
@@ -350,15 +451,13 @@ def cmd_score(args) -> int:
         "command": "score",
         "version": __version__,
         # the thresholds scoring used: sorted, each once
-        "config": {**cfg, "thresholds": list(report.thresholds)},
-        "inputs": [_input_entry(args.features, table.n_events),
+        "config": {**cfg, "thresholds": list(thresholds)},
+        "inputs": [_input_entry(args.features, n_scores),
                    _input_entry(args.model, None)],
         "outputs": [{"path": scores_path, "rows": n_scores},
                     {"path": scan_path, "rows": n_scan},
                     {"path": summary_path, "rows": None}],
-        "counts": {"scored": table.n_events,
-                   "clamped": int(np.sum(report.clamped)),
-                   "underflow": int(np.sum(report.underflow))},
+        "counts": counts,
     })
     sys.stdout.write(text)
     print(f"scored {n_scores} events -> {args.out_dir}")

@@ -331,8 +331,10 @@ class InterpPlan:
         bins, t, s): rows slices the planned rows, and bins, t and s are
         the block's own plan.  Mixed rows lead, so a block's t and s are
         slices of t and s, and its bins are its rows' lo bins, then its
-        mixed rows' hi bins."""
+        mixed rows' hi bins.  One block is the plan's own arrays."""
         n, k = self.order.size, self.t.size
+        if parts == 1:
+            return [(slice(0, n), self.bins, self.t, self.s)]
         cuts = [n * i // parts for i in range(parts + 1)]
         blocks = []
         for a, b in zip(cuts, cuts[1:]):

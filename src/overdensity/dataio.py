@@ -56,13 +56,14 @@ def _quote(field: str) -> str:
     return field
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows, append=False) -> None:
     """Write the header and rows byte for byte as csv.writer's default
-    dialect does, streamed through one writelines.  Row fields are str,
-    quoted where text needs it (_number_rows quotes its text column)."""
-    with open(path, "w", newline="") as fh:
+    dialect does, streamed through one writelines; with append, add the
+    rows alone to the end of the file.  Row fields are str, quoted where
+    text needs it (_number_rows quotes its text column)."""
+    with open(path, "a" if append else "w", newline="") as fh:
         fh.writelines(",".join(row) + "\r\n"
-                      for row in chain([map(_quote, header)], rows))
+                      for row in (rows if append else chain([map(_quote, header)], rows)))
 
 
 def _number_rows(text, *columns):
@@ -240,20 +241,32 @@ def _parsed_rows(path, kind):
         line_no += len(block)
 
 
-def read_features(path) -> FeatureTable:
-    """Read a features file; an error names its line, column and cell."""
+def read_feature_blocks(path):
+    """The (conditional name, feature names) of a features file, then
+    blocks (ids, (rows, 1 + d) float array of each row's conditional and
+    features) of its rows in file order, as _parsed_rows parses them.  An
+    error names its line, column and cell, after the blocks before it."""
     rows = _parsed_rows(path, "features")
     header = next(rows)
     if len(header) < 3 or header[0] != "event_id":
         raise InputError(f"{path}: expected header event_id,<conditional>,<features...>")
+    yield header[1], header[2:]
+    for _, ids, values in rows:
+        yield ids, values
+
+
+def read_features(path) -> FeatureTable:
+    """Read a features file whole (read_feature_blocks)."""
+    blocks = read_feature_blocks(path)
+    conditional_name, feature_names = next(blocks)
     ids = []
     values = array("d")  # each row's conditional and features, end to end
-    for _, block_ids, block_values in rows:
+    for block_ids, block_values in blocks:
         ids.extend(block_ids)
         values.frombytes(block_values.tobytes())
-    table = np.frombuffer(values, dtype=float).reshape(-1, len(header) - 1)
-    return FeatureTable(event_ids=ids, conditional_name=header[1],
-                        conditionals=table[:, 0].copy(), feature_names=header[2:],
+    table = np.frombuffer(values, dtype=float).reshape(-1, 1 + len(feature_names))
+    return FeatureTable(event_ids=ids, conditional_name=conditional_name,
+                        conditionals=table[:, 0].copy(), feature_names=feature_names,
                         features=np.ascontiguousarray(table[:, 1:]))
 
 
@@ -303,11 +316,13 @@ def read_particle_events(path):
         yield current_id, np.array(event_rows)
 
 
-def write_scores(path, event_ids, conditionals, report) -> int:
+def write_scores(path, event_ids, conditionals, report, append=False) -> int:
+    """Write the scores file of the events; with append, add their rows to
+    the end of the file, without a header, as a block-wise score does."""
     _write_csv(path, SCORE_COLUMNS, _number_rows(
         event_ids, *(np.asarray(c, dtype=float) for c in (
             conditionals, report.alphas, report.p_signal, report.p_background)),
-        np.asarray(report.clamped).astype(int)))
+        np.asarray(report.clamped).astype(int)), append)
     return len(event_ids)
 
 

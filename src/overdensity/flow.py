@@ -20,8 +20,14 @@ come back in candidate order and every row maps on its own, so the model is
 byte-identical for any number of CPUs.
 
 Its working memory is a fixed number of n-row arrays: each worker sorts its
-candidates' projections in one K x n buffer allocated once per fit, and the
-layer update overwrites the standardised rows in place.
+candidates' projections in one K x n buffer allocated once per fit, the
+layer update overwrites the standardised rows in place, and the progress
+report's transforms go to the first buffer.  The plotting quantiles of the
+n-row samples are computed once per fit and not cached.
+
+forward runs the same layer map, _apply_layer, over a batch as one block:
+it standardises a reordered copy of the rows in place, and each layer
+writes its transforms minus the slice coordinates over those coordinates.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 from .conditional import (ConditionalBinning, InterpPlan, KnotTable, build_binning,
                           interpolated_inverse, interpolated_transform)
 from .errors import ConfigError, FitError, InputError
-from .transforms import (DEFAULT_DERIVATIVE_FLOOR, DEFAULT_KNOTS,
+from .transforms import (DEFAULT_DERIVATIVE_FLOOR, DEFAULT_KNOTS, _normal_levels,
                          fit_marginal_transform, wasserstein_1d_to_gaussian)
 
 MODEL_FORMAT_HEADER = "GISFLOW v1"
@@ -119,23 +125,29 @@ class GisLayer:
 
 
 def _slice_block(table, y, p, log_det, block):
-    """One row block of one slice: interpolated_transform of y's rows
-    into p, and their log-derivative added into log_det, if given."""
+    """One row block of one slice: y's rows become their
+    interpolated_transform minus themselves, p's rows (if p is given) the
+    transform, and their log-derivative is added into log_det, if given."""
     rows, bins, t, s = block
-    p[rows], deriv = interpolated_transform(table, bins, t, s, y[rows])
+    psi, deriv = interpolated_transform(table, bins, t, s, y[rows])
+    if p is not None:
+        p[rows] = psi
+    np.subtract(psi, y[rows], out=y[rows])
     if log_det is not None:
         log_det[rows] += np.log(deriv)
 
 
-def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map):
+def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map, P=None):
     """Apply one layer in place to the rows of Z, taken in the order of the
-    plan cut into row blocks (InterpPlan.blocks).
+    plan cut into row blocks (InterpPlan.blocks): the one layer map of the
+    fit and of forward.
 
     Z becomes Z + (P - Y) W^T, Y = Z W being the slice coordinates and P
-    their transforms, which are returned.  Each slice in turn has its
+    their transforms; P - Y is written over Y.  Each slice in turn has its
     blocks evaluated through map (the fit passes its pool's, with blocks
     of at most _BLOCK_ROWS rows), each slice's log-derivative being added
-    into log_det, if given.  Every row maps on its own, so the blocks do
+    into log_det, if given, and its transforms written into row k of the
+    (K, n) array P, if given.  Every row maps on its own, so the blocks do
     not change a bit.  Both d x K products stay whole-array calls in the
     calling thread: a BLAS product's bits can depend on its row count.
     interpolated_transform is looked up in this module on every call, which
@@ -143,11 +155,10 @@ def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map):
     """
     W = layer.weights
     Y = Z @ W
-    P = np.empty_like(Y)
     for k, table in enumerate(layer.tables):
-        list(map(partial(_slice_block, table, Y[:, k], P[:, k], log_det), blocks))
-    Z += np.subtract(P, Y, out=Y) @ W.T
-    return P
+        list(map(partial(_slice_block, table, Y[:, k], None if P is None else P[k], log_det),
+                 blocks))
+    Z += Y @ W.T
 
 
 @dataclass
@@ -180,13 +191,16 @@ class FlowModel:
         """Map data to latent space; returns (z, log_det).
 
         Each row maps on its own, so the pass runs over the rows in
-        plan order and puts them back at the end.
+        plan order, as one block, and puts them back at the end.  Its n-row
+        arrays are the standardised rows, which each layer updates in
+        place, log_det and one layer's slice coordinates.
         """
         X, mv = self._as_batch(x, m)
-        lo, hi, t = self.binning.interp_weights(mv)
-        plan = InterpPlan(lo, hi, t)
+        plan = InterpPlan(*self.binning.interp_weights(mv))
+        Z = X[plan.order]
+        Z -= self.shift
+        Z /= self.scale
         blocks = plan.blocks(1)
-        Z = (X[plan.order] - self.shift) / self.scale
         log_det = np.full(Z.shape[0], -float(np.sum(np.log(self.scale))))
         for layer in self.layers:
             _apply_layer(layer, Z, blocks, log_det)
@@ -213,21 +227,24 @@ class FlowModel:
         are evaluated at the clamped edge.
         """
         Z, log_det = self.forward(x, m)  # which checks x and m
-        return -0.5 * np.sum(Z * Z, axis=1) - 0.5 * self.dim * _LOG_2PI + log_det
+        Z *= Z
+        return -0.5 * np.sum(Z, axis=1) - 0.5 * self.dim * _LOG_2PI + log_det
 
 
 # -- slice selection ----------------------------------------------------------
 
 
-def _axis_candidate(Xt, k):
+def _axis_candidate(Xt, k, quantiles):
     """Orthonormal frame of the k most non-Gaussian coordinate axes, with
     its score.
 
-    Xt holds one coordinate per row (X transposed, contiguous).  A one-hot
-    product returns each chosen coordinate exactly, so the sum of their
-    distances in frame order is the score the frame gets as a candidate.
+    Xt holds one coordinate per row (X transposed, contiguous), and
+    quantiles are wasserstein_1d_to_gaussian's for its row length.  A
+    one-hot product returns each chosen coordinate exactly, so the sum of
+    their distances in frame order is the score the frame gets as a
+    candidate.
     """
-    scores = wasserstein_1d_to_gaussian(Xt, axis=1)
+    scores = wasserstein_1d_to_gaussian(Xt, axis=1, quantiles=quantiles)
     order = np.argsort(-scores, kind="stable")[:k]
     W = np.zeros((Xt.shape[0], k))
     W[order, np.arange(k)] = 1.0
@@ -246,14 +263,15 @@ def _random_orthonormal(rng, n, d, k):
     return Q * sign[:, None, :]
 
 
-def _candidate_scores(Xt, frames, buf):
+def _candidate_scores(Xt, frames, buf, quantiles):
     # projected as W^T X^T into buf, so each slice's sample is a contiguous
     # row, and sorted there; the slices' distances are summed in slice order
     return [sum(wasserstein_1d_to_gaussian(np.matmul(W.T, Xt, out=buf), axis=1,
-                                           overwrite=True).tolist()) for W in frames]
+                                           overwrite=True, quantiles=quantiles).tolist())
+            for W in frames]
 
 
-def _select_slice_scored(X, n_slices, n_candidates, seed, pool, buffers):
+def _select_slice_scored(X, n_slices, n_candidates, seed, pool, buffers, quantiles):
     """Best of the axis frame and n_candidates random frames, with its score.
 
     The axis frame is scored from its coordinates' distances.  The random
@@ -266,10 +284,11 @@ def _select_slice_scored(X, n_slices, n_candidates, seed, pool, buffers):
     d = X.shape[1]
     rng = np.random.default_rng(seed)
     Xt = np.ascontiguousarray(X.T)
-    axis_frame, axis_score = _axis_candidate(Xt, n_slices)
+    axis_frame, axis_score = _axis_candidate(Xt, n_slices, quantiles)
     frames = _random_orthonormal(rng, n_candidates, d, n_slices)
     scores = [axis_score, *chain.from_iterable(pool.map(
-        _candidate_scores, [Xt] * len(buffers), np.array_split(frames, len(buffers)), buffers))]
+        partial(_candidate_scores, Xt, quantiles=quantiles),
+        np.array_split(frames, len(buffers)), buffers))]
     best = int(np.argmax(scores))  # ties resolve to the lowest index
     return axis_frame if best == 0 else frames[best - 1], scores[best]
 
@@ -329,7 +348,9 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     plan = InterpPlan(*binning.interp_weights(m))
     # the fit runs on the rows in plan order: every step below sorts its
     # sample or maps each row on its own, so the model does not change
-    Z = (X[plan.order] - shift) / scale
+    Z = X[plan.order]
+    Z -= shift
+    Z /= scale
     bin_idx = bin_idx[plan.order]
     # each bin's rows as a row of indices, padded with n: each slice's
     # projection ends in a +inf there, which sorts after every sample
@@ -343,12 +364,16 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     workers = _cpu_count()
     # blocks of at most _BLOCK_ROWS rows, a multiple of the worker count
     blocks = plan.blocks(workers * -(-n // (_BLOCK_ROWS * workers)))
+    del plan  # the blocks hold the only copy of its bins
     # one candidate group, and one projection buffer, per busy worker
     buffers = [np.empty((k_slices, n)) for _ in range(min(workers, config.n_candidates))]
+    # every sample the fit scores has n values: their plotting quantiles,
+    # computed once per fit
+    quantiles = _normal_levels(n)[1]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in range(config.n_iterations):
             W, before = _select_slice_scored(Z, k_slices, config.n_candidates,
-                                             int(seeds[i]), pool, buffers)
+                                             int(seeds[i]), pool, buffers, quantiles)
             # one row per slice, projected as _apply_layer does
             Yt = np.full((k_slices, n + 1), np.inf)
             Yt[:, :n] = (Z @ W).T
@@ -356,12 +381,14 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                                 config.derivative_floor) for y in Yt]
             del Yt  # not held through the update
             layer = GisLayer(weights=W, tables=tables)
-            P = _apply_layer(layer, Z, blocks, map=pool.map)
+            # the transforms go to a search buffer, free until the next search
+            P = None if on_iteration is None else buffers[0]
+            _apply_layer(layer, Z, blocks, map=pool.map, P=P)
             layers.append(layer)
             if on_iteration is not None:
-                after = sum(wasserstein_1d_to_gaussian(P.T, axis=1).tolist())
+                after = sum(wasserstein_1d_to_gaussian(P, axis=1, overwrite=True,
+                                                       quantiles=quantiles).tolist())
                 on_iteration(i, before, after)
-            del P  # nor through the next layer's search
 
     return FlowModel(dim=d, shift=shift, scale=scale, binning=binning,
                      layers=layers, derivative_floor=config.derivative_floor)

@@ -301,13 +301,20 @@ def _ndtri(p):
     return x
 
 
+def _normal_levels(n: int):
+    """Probability levels (j + 0.5) / n and their standard-normal
+    quantiles: at n the sample size, the plotting quantiles of
+    wasserstein_1d_to_gaussian."""
+    p = (np.arange(n) + 0.5) / n
+    return p, _ndtri(p)
+
+
 @lru_cache(maxsize=8)
 def _knot_levels(n_knots: int):
-    """Probability levels (j + 0.5) / n_knots and their standard-normal
-    quantiles: the output knots of fit_marginal_transform, and the
-    plotting quantiles of wasserstein_1d_to_gaussian."""
-    p = (np.arange(n_knots) + 0.5) / n_knots
-    z = _ndtri(p)
+    """_normal_levels of a knot count, read-only: the output knots of
+    fit_marginal_transform.  Only knot counts are cached, never sample
+    sizes, so the cache stays a few hundred doubles."""
+    p, z = _normal_levels(n_knots)
     p.setflags(write=False)
     z.setflags(write=False)
     return p, z
@@ -389,7 +396,7 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS, sizes=None):
     return pairs[0] if one else pairs
 
 
-def wasserstein_1d_to_gaussian(samples, axis=None, overwrite=False):
+def wasserstein_1d_to_gaussian(samples, axis=None, overwrite=False, quantiles=None):
     """Order-1 Wasserstein distance from a 1D sample to N(0, 1).
 
     Computed by quantile matching: mean |sorted sample - normal quantile|
@@ -403,6 +410,9 @@ def wasserstein_1d_to_gaussian(samples, axis=None, overwrite=False):
     given and each sample along it is already a contiguous row of a
     writeable float64 array (a C-contiguous one taken along its last
     axis): then they are sorted and overwritten in place.
+    quantiles, if given, are the plotting quantiles for the sample size,
+    _normal_levels(n)[1]: a caller that scores many samples of one size
+    computes them once.
     """
     s = np.asarray(samples, dtype=float)
     if axis is None:
@@ -420,6 +430,6 @@ def wasserstein_1d_to_gaussian(samples, axis=None, overwrite=False):
         raise InputError("samples must be finite")
     # (j + 0.5) / n for j = 0 .. n - 1 are the same doubles as (j - 0.5) / n
     # for j = 1 .. n
-    s -= _knot_levels(s.shape[-1])[1]
+    s -= _normal_levels(s.shape[-1])[1] if quantiles is None else quantiles
     w1 = np.abs(s, out=s).mean(axis=-1)
     return float(w1) if axis is None else w1

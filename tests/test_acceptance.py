@@ -171,7 +171,7 @@ def test_resonance_recovery_end_to_end():
                           threads=4)
 
     # the most anomalous 100-unit mass bin brackets the injected resonance
-    rows = scan_profile(report, ds.event_arrays(), bin_width=100.0)
+    rows = scan_profile(report.alphas, ds.conditionals, bin_width=100.0)
     peak = max((r for r in rows if r.count), key=lambda r: r.alpha_max)
     assert peak.m_lo <= resonance_mass < peak.m_hi
 

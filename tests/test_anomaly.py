@@ -52,13 +52,12 @@ def test_score_config_validation():
 
 
 def test_scan_bin_width_validation():
-    report = type("R", (), {})()
-    report.alphas = np.ones(3)
-    events = (np.zeros((3, 1)), np.array([1000.0, 2500.0, 4000.0]))
+    alphas = np.ones(3)
+    m = np.array([1000.0, 2500.0, 4000.0])
     for width in (0.0, -1.0, np.inf, np.nan, 1e-300, 5e-324):
         with pytest.raises(ConfigError, match="^scan_bin_width "):
-            scan_profile(report, events, width)
-    assert len(scan_profile(report, events, 1.0)) == 3001
+            scan_profile(alphas, m, width)
+    assert len(scan_profile(alphas, m, 1.0)) == 3001
 
 
 def test_smooth_background_scores_near_one(toy_model, toy_dataset):
@@ -222,7 +221,7 @@ def test_non_finite_conditional_is_an_input_error(toy_model, toy_dataset, call, 
     m[2] = bad
     calls = {
         "score_events": lambda: score_events(toy_model, (X, m), cfg),
-        "scan_profile": lambda: scan_profile(report, (X, m), 0.1),
+        "scan_profile": lambda: scan_profile(report.alphas, m, 0.1),
         "summarize": lambda: summarize((X, m), np.arange(5), ["m", "x"]),
     }
     with pytest.raises(InputError, match="finite"):
@@ -271,9 +270,7 @@ def test_summarize_edge_cases():
 def test_scan_profile_by_hand():
     alphas = np.array([1.0, 2.0, 4.0, 0.5])
     m = np.array([0.05, 0.15, 0.17, 0.35])
-    report = type("R", (), {})()
-    report.alphas = alphas
-    rows = scan_profile(report, (np.zeros((4, 1)), m), bin_width=0.1)
+    rows = scan_profile(alphas, m, bin_width=0.1)
     assert len(rows) == 4
     assert rows[0].m_lo == 0.0 and rows[0].count == 1 and rows[0].alpha_max == 1.0
     assert rows[1].count == 2
@@ -289,9 +286,9 @@ def test_scan_profile_empty_and_mismatched(toy_model):
     report = score_events(toy_model, (np.zeros((0, 1)), np.zeros(0)),
                           ScoreConfig(sigma=0.15, thresholds=(1.5,)))
     assert report.alphas.size == 0
-    assert scan_profile(report, (np.zeros((0, 1)), np.zeros(0)), 0.1) == []
+    assert scan_profile(report.alphas, np.zeros(0), 0.1) == []
     with pytest.raises(InputError):
-        scan_profile(report, (np.zeros((3, 1)), np.arange(3.0)), 0.1)
+        scan_profile(report.alphas, np.arange(3.0), 0.1)
 
 
 @given(st.floats(min_value=0.01, max_value=10.0),

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import overdensity
-from overdensity import cli, flow, synth
+from overdensity import anomaly, cli, dataio, flow, synth
 from overdensity.anomaly import ScoreConfig
 from overdensity.cli import main
 from overdensity.dataio import file_sha256, read_features
@@ -98,6 +99,108 @@ def test_score_threads_do_not_change_output(pipeline_dir, tmp_path):
     for name in ("scores.csv", "scan.csv", "summary.txt"):
         assert file_sha256(str(out / name)) == file_sha256(
             str(pipeline_dir / "scores" / name)), name
+
+
+def _manifest_facts(path):
+    """A score manifest without the paths, hashes and thread count that
+    differ between runs on copies of one input."""
+    manifest = json.loads(path.read_text())
+    manifest["config"].pop("threads")
+    for entry in manifest["inputs"] + manifest["outputs"]:
+        entry.pop("path")
+        entry.pop("sha256", None)
+    return manifest
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_score_by_groups_writes_the_same_files(pipeline_dir, tmp_path, monkeypatch, threads):
+    # score reads, scores and writes one group of chunks at a time; here
+    # 2020 events in blocks of 7 lines and groups of 4 chunks of 64 events
+    # per thread, so groups end inside blocks, against one group of the
+    # whole file.  A copy with a blank line after every 100th goes through
+    # the row-by-row parse.
+    features = pipeline_dir / "data" / "features.csv"
+    blank = tmp_path / "blank.csv"
+    blank.write_bytes(b"".join(line + b"\r\n" * (i % 100 == 99) for i, line in
+                               enumerate(features.read_bytes().splitlines(keepends=True))))
+    monkeypatch.setattr(dataio, "_PARSE_LINES", 7)
+    monkeypatch.setattr(anomaly, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(cli, "_GROUP_CHUNKS", 4)
+    groups = []
+    score_events = anomaly.score_events
+    monkeypatch.setattr(anomaly, "score_events", lambda model, events, *args, **kwargs: (
+        groups.append(len(events[1])) or score_events(model, events, *args, **kwargs)))
+    ref = pipeline_dir / "scores"
+    for path in (features, blank):
+        out = tmp_path / path.stem
+        groups.clear()
+        assert main(["score", "--features", str(path), "--model", str(pipeline_dir / "model.txt"),
+                     "--out-dir", str(out), "--sigma", "0.15", "--scan-bin-width", "0.25",
+                     "--threads", str(threads)]) == 0
+        size = 256 * threads
+        assert groups == [size] * (2020 // size) + [2020 % size]
+        for name in ("scores.csv", "scan.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (path, name)
+        assert _manifest_facts(out / "manifest.json") == _manifest_facts(ref / "manifest.json")
+
+
+@pytest.mark.parametrize("case", ["bad cell in the last block", "scan bin width"])
+def test_score_error_after_the_first_group_leaves_nothing(pipeline_dir, tmp_path, monkeypatch,
+                                                          capsys, case):
+    # both fail after groups of scores went to scores.csv.tmp: a cell in the
+    # file's last line, and a scan width that numbers m's bins beyond 2**53,
+    # which only m's range, known at the end, shows
+    features = pipeline_dir / "data" / "features.csv"
+    flags = ["--scan-bin-width", "0.25"]
+    if case == "scan bin width":
+        flags = ["--scan-bin-width", "1e-300"]
+        message = "config error: scan_bin_width = 1e-300 numbers the bins of m beyond 2**53\n"
+    else:
+        lines = features.read_bytes().splitlines(keepends=True)
+        lines[-1] = lines[-1].rsplit(b",", 1)[0] + b",fish\r\n"
+        features = tmp_path / "bad.csv"
+        features.write_bytes(b"".join(lines))
+        message = f"error: {features} line {len(lines)}, column 'x1': not a number: 'fish'\n"
+    monkeypatch.setattr(anomaly, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(cli, "_GROUP_CHUNKS", 4)
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (tmp_path / "new" / "scores", existing):
+        code = main(["score", "--features", str(features), "--model",
+                     str(pipeline_dir / "model.txt"), "--out-dir", str(out),
+                     "--sigma", "0.15", *flags])
+        assert (code, capsys.readouterr().err) == (1 + (case == "scan bin width"), message)
+    assert not (tmp_path / "new").exists()
+    assert list(existing.iterdir()) == []
+
+
+def test_score_memory_grows_far_less_than_its_input(tmp_path):
+    # score keeps m and alpha of every event (16 bytes) and the events
+    # above the lowest threshold; the rest of a group is dropped once it
+    # is written.  From 16,384 to 65,536 events the tracemalloc peak grew
+    # 21 bytes per event here, against 122 when the whole file was read
+    # and scored at once.
+    data = synth.generate_lhc_like(synth.LhcLikeConfig(n_background=65_336, n_signal=200),
+                                   seed=3)
+    ids = [str(i) for i in range(data.n_events)]
+    for n in (16_384, 65_536):
+        dataio.write_features(str(tmp_path / f"{n}.csv"), ids[:n], data.conditional_name,
+                              data.conditionals[:n], data.feature_names, data.features[:n])
+    model = str(tmp_path / "model.txt")
+    assert main(["fit", "--features", str(tmp_path / "16384.csv"), "--model-out", model,
+                 "--iterations", "2", "--bins", "10", "--knots", "16", "--quiet"]) == 0
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["score", "--features", str(tmp_path / f"{n}.csv"), "--model", model,
+                         "--out-dir", str(tmp_path / f"scores{n}"), "--sigma", "250"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16_384)  # the first call's one-time allocations
+    assert peak(65_536) - peak(16_384) < 32 * (65_536 - 16_384)
 
 
 def test_thread_count_below_one_exits_2(pipeline_dir, tmp_path, capsys):
