@@ -318,8 +318,8 @@ _SCORE_SCHEMA = {
 
 # scoring chunks per thread that score reads, scores and writes as one
 # group: the pool waits for a group's last chunk, which idles the other
-# threads for a small share of a group this size
-_GROUP_CHUNKS = 16
+# threads for a small share of a group this size, 16,384 events a thread
+_GROUP_CHUNKS = 8
 
 # glibc's malloc raises its mmap and trim thresholds to the largest mapped
 # block freed.  Scoring group by group frees none, so each chunk's

@@ -263,23 +263,28 @@ def eval_binned(table: KnotTable, bins, y):
     """
     y = np.ascontiguousarray(y, dtype=float)
     at = _bucket_entries(y, bins, table.scale, table.offset, _BUCKETS_PER_SLOT * table.stride)
-    np.add(bins * table.stride, table.window.take(at), out=at)  # y's window's first slot
+    # y's window's first slot, bins * stride taken in place over the entries
+    window = table.window.take(at)
+    np.multiply(bins, table.stride, out=at)
+    at += window
+    at = _count_le(table.edges, at, table.width, y)
     # the gather through the transposed view gives contiguous columns, on
     # which the arithmetic runs twice as fast as on a row gather's strided ones
-    x, h, a, d0, c2, c3 = table.segments.T.take(
-        _count_le(table.edges, at, table.width, y), axis=1)
+    x, h, a, d0, c2, c3 = table.segments.T.take(at, axis=1)
+    del at  # not held through the arithmetic
     # a + h * t * (d0 + t * (c2 + t * c3)) and d0 + t * (2 c2 + 3 t c3),
-    # operation for operation, in place
-    t = y - x
+    # operation for operation, in place over the gathered columns: t over
+    # x, h * t and then 2 c2 over h, the derivative over a
+    t = np.subtract(y, x, out=x)
     t /= h
     psi = t * c3
     psi += c2
     psi *= t
     psi += d0
-    ht = h * t
+    ht = np.multiply(h, t, out=h)
     psi *= ht
     psi += a
-    deriv = np.multiply(t, 3.0)
+    deriv = np.multiply(t, 3.0, out=a)
     deriv *= c3
     deriv += np.multiply(c2, 2.0, out=ht)
     deriv *= t
@@ -363,11 +368,12 @@ def interpolated_transform(table: KnotTable, bins, t, s, y):
     y = np.asarray(y, dtype=float)
     n, k = y.size, t.size
     psi, deriv = eval_binned(table, bins, np.concatenate((y, y[:k])))
-    psi_hi, d_hi = psi[n:], deriv[n:]
-    psi, deriv = psi[:n], deriv[:n]
-    psi[:k] = s * psi[:k] + t * psi_hi
-    deriv[:k] = s * deriv[:k] + t * d_hi
-    return psi, deriv
+    # s * lo + t * hi, blended in place: s * lo over lo, t * hi over hi
+    for v in (psi, deriv):
+        lo, hi = v[:k], v[n:]
+        lo *= s
+        lo += np.multiply(t, hi, out=hi)
+    return psi[:n], deriv[:n]
 
 
 def _interpolate_rows(table: KnotTable, lo, hi, t, y):

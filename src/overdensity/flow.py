@@ -14,16 +14,18 @@ exactly K marginal log-derivative terms to the log-Jacobian.
 The fit runs each layer in whole-block numpy calls on a thread pool with
 one worker per CPU the process may use: a candidate frame's K projections
 are scored by one sort call, a slice's bin marginals are fitted from one,
-and the update maps each slice over row blocks of at most _BLOCK_ROWS rows
-(the sorts and the array arithmetic release the interpreter lock).  Scores
-come back in candidate order and every row maps on its own, so the model is
-byte-identical for any number of CPUs.
+and the update maps row blocks of at most _BLOCK_ROWS rows, one task per
+block through all the layer's slices (the sorts and the array arithmetic
+release the interpreter lock).  Scores come back in candidate order and
+every row maps on its own, so the model is byte-identical for any number
+of CPUs.
 
 Its working memory is a fixed number of n-row arrays: each worker sorts its
-candidates' projections in one K x n buffer allocated once per fit, the
-layer update overwrites the standardised rows in place, and the progress
-report's transforms go to the first buffer.  The plotting quantiles of the
-n-row samples are computed once per fit and not cached.
+candidates' projections in one K x n buffer allocated once per fit (the
+first also sorts the coordinates, K at a time), the layer update
+overwrites the standardised rows in place, and the progress report's
+transforms go to the first buffer.  The plotting quantiles of the n-row
+samples are computed once per fit and not cached.
 
 forward runs the same layer map, _apply_layer, over a batch as one block:
 it standardises a reordered copy of the rows in place, and each layer
@@ -134,7 +136,14 @@ def _slice_block(table, y, p, log_det, block):
         p[rows] = psi
     np.subtract(psi, y[rows], out=y[rows])
     if log_det is not None:
-        log_det[rows] += np.log(deriv)
+        log_det[rows] += np.log(deriv, out=deriv)
+
+
+def _layer_block(tables, Y, P, log_det, block):
+    """One row block of one layer: _slice_block for each slice in turn,
+    slice k on column k of Y and row k of P."""
+    for k, table in enumerate(tables):
+        _slice_block(table, Y[:, k], None if P is None else P[k], log_det, block)
 
 
 def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map, P=None):
@@ -143,21 +152,19 @@ def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map, P=None):
     fit and of forward.
 
     Z becomes Z + (P - Y) W^T, Y = Z W being the slice coordinates and P
-    their transforms; P - Y is written over Y.  Each slice in turn has its
-    blocks evaluated through map (the fit passes its pool's, with blocks
-    of at most _BLOCK_ROWS rows), each slice's log-derivative being added
-    into log_det, if given, and its transforms written into row k of the
-    (K, n) array P, if given.  Every row maps on its own, so the blocks do
-    not change a bit.  Both d x K products stay whole-array calls in the
-    calling thread: a BLAS product's bits can depend on its row count.
-    interpolated_transform is looked up in this module on every call, which
-    is where perfbench's tracer patches it.
+    their transforms; P - Y is written over Y.  Each block has all its
+    slices evaluated in turn by one task through map (the fit passes its
+    pool's, with blocks of at most _BLOCK_ROWS rows), each slice's
+    log-derivative being added into log_det, if given, and its transforms
+    written into row k of the (K, n) array P, if given.  Every row maps on
+    its own, so the blocks do not change a bit.  Both d x K products stay
+    whole-array calls in the calling thread: a BLAS product's bits can
+    depend on its row count.  interpolated_transform is looked up in this
+    module on every call, which is where perfbench's tracer patches it.
     """
     W = layer.weights
     Y = Z @ W
-    for k, table in enumerate(layer.tables):
-        list(map(partial(_slice_block, table, Y[:, k], None if P is None else P[k], log_det),
-                 blocks))
+    list(map(partial(_layer_block, layer.tables, Y, P, log_det), blocks))
     Z += Y @ W.T
 
 
@@ -234,17 +241,24 @@ class FlowModel:
 # -- slice selection ----------------------------------------------------------
 
 
-def _axis_candidate(Xt, k, quantiles):
+def _axis_candidate(Xt, k, buf, quantiles):
     """Orthonormal frame of the k most non-Gaussian coordinate axes, with
     its score.
 
     Xt holds one coordinate per row (X transposed, contiguous), and
-    quantiles are wasserstein_1d_to_gaussian's for its row length.  A
-    one-hot product returns each chosen coordinate exactly, so the sum of
-    their distances in frame order is the score the frame gets as a
-    candidate.
+    quantiles are wasserstein_1d_to_gaussian's for its row length.  The
+    coordinates are copied into buf, a (k, n) search buffer, k rows at a
+    time, and sorted there.  A one-hot product returns each chosen
+    coordinate exactly, so the sum of their distances in frame order is
+    the score the frame gets as a candidate.
     """
-    scores = wasserstein_1d_to_gaussian(Xt, axis=1, quantiles=quantiles)
+    scores = []
+    for start in range(0, Xt.shape[0], k):
+        rows = buf[:min(k, Xt.shape[0] - start)]
+        np.copyto(rows, Xt[start:start + k])
+        scores.append(wasserstein_1d_to_gaussian(rows, axis=1, overwrite=True,
+                                                 quantiles=quantiles))
+    scores = np.concatenate(scores)
     order = np.argsort(-scores, kind="stable")[:k]
     W = np.zeros((Xt.shape[0], k))
     W[order, np.arange(k)] = 1.0
@@ -274,7 +288,8 @@ def _candidate_scores(Xt, frames, buf, quantiles):
 def _select_slice_scored(X, n_slices, n_candidates, seed, pool, buffers, quantiles):
     """Best of the axis frame and n_candidates random frames, with its score.
 
-    The axis frame is scored from its coordinates' distances.  The random
+    The axis frame is scored from its coordinates' distances, sorted in
+    the first buffer (_axis_candidate).  The random
     frames are scored in one consecutive group per (K, n) buffer on pool,
     one task per group, each frame's K projections by one
     wasserstein_1d_to_gaussian call that sorts them in the group's buffer;
@@ -284,7 +299,7 @@ def _select_slice_scored(X, n_slices, n_candidates, seed, pool, buffers, quantil
     d = X.shape[1]
     rng = np.random.default_rng(seed)
     Xt = np.ascontiguousarray(X.T)
-    axis_frame, axis_score = _axis_candidate(Xt, n_slices, quantiles)
+    axis_frame, axis_score = _axis_candidate(Xt, n_slices, buffers[0], quantiles)
     frames = _random_orthonormal(rng, n_candidates, d, n_slices)
     scores = [axis_score, *chain.from_iterable(pool.map(
         partial(_candidate_scores, Xt, quantiles=quantiles),

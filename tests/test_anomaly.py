@@ -132,7 +132,7 @@ def test_chunk_size_does_not_change_results(toy_model, toy_dataset, monkeypatch,
     cfg = ScoreConfig(sigma=0.15, thresholds=(1.5,), signal_sigma=signal_sigma)
     ref = score_events(toy_model, events, cfg)
     assert ref.clamped.any() and not ref.clamped.all()
-    for rows in (1, 7):
+    for rows in (1, 7, 1024):
         monkeypatch.setattr(anomaly, "_CHUNK_ROWS", rows)
         got = score_events(toy_model, events, cfg)
         for name in ("p_signal", "p_background", "alphas", "clamped"):

@@ -232,6 +232,20 @@ def test_plan_blocks_map_as_the_whole_plan(family, parts):
         assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
 
+@given(binned_family())
+def test_kernels_leave_their_arguments_unchanged(family):
+    # the kernels work in place over their own temporaries only
+    transforms, bins, ys, t = family
+    table = knot_table(transforms)
+    plan = InterpPlan(bins, np.minimum(bins + 1, len(transforms) - 1), t)
+    y = ys[plan.order]
+    for kernel, args in ((eval_binned, (table, bins, ys)),
+                         (interpolated_transform, (table, plan.bins, plan.t, plan.s, y))):
+        before = [a.tobytes() for a in args[1:]]
+        kernel(*args)
+        assert [a.tobytes() for a in args[1:]] == before, kernel.__name__
+
+
 def _ulp_steps(start, steps):
     """start, then each next knot the given number of ulps above the last."""
     x = [float(start)]
