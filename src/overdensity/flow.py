@@ -23,9 +23,9 @@ of CPUs.
 Its working memory is a fixed number of n-row arrays: each worker sorts its
 candidates' projections in one K x n buffer allocated once per fit (the
 first also sorts the coordinates, K at a time), the layer update
-overwrites the standardised rows in place, and the progress report's
-transforms go to the first buffer.  The plotting quantiles of the n-row
-samples are computed once per fit and not cached.
+overwrites the standardised rows in place, and the progress report
+projects the updated rows into the first buffer.  The plotting quantiles
+of the n-row samples are computed once per fit and not cached.
 
 forward runs the same layer map, _apply_layer, over a batch as one block:
 it standardises a reordered copy of the rows in place, and each layer
@@ -126,27 +126,25 @@ class GisLayer:
     tables: list
 
 
-def _slice_block(table, y, p, log_det, block):
+def _slice_block(table, y, log_det, block):
     """One row block of one slice: y's rows become their
-    interpolated_transform minus themselves, p's rows (if p is given) the
-    transform, and their log-derivative is added into log_det, if given."""
+    interpolated_transform minus themselves, and their log-derivative is
+    added into log_det, if given."""
     rows, bins, t, s = block
     psi, deriv = interpolated_transform(table, bins, t, s, y[rows])
-    if p is not None:
-        p[rows] = psi
     np.subtract(psi, y[rows], out=y[rows])
     if log_det is not None:
         log_det[rows] += np.log(deriv, out=deriv)
 
 
-def _layer_block(tables, Y, P, log_det, block):
+def _layer_block(tables, Y, log_det, block):
     """One row block of one layer: _slice_block for each slice in turn,
-    slice k on column k of Y and row k of P."""
+    slice k on column k of Y."""
     for k, table in enumerate(tables):
-        _slice_block(table, Y[:, k], None if P is None else P[k], log_det, block)
+        _slice_block(table, Y[:, k], log_det, block)
 
 
-def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map, P=None):
+def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map):
     """Apply one layer in place to the rows of Z, taken in the order of the
     plan cut into row blocks (InterpPlan.blocks): the one layer map of the
     fit and of forward.
@@ -155,8 +153,7 @@ def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map, P=None):
     their transforms; P - Y is written over Y.  Each block has all its
     slices evaluated in turn by one task through map (the fit passes its
     pool's, with blocks of at most _BLOCK_ROWS rows), each slice's
-    log-derivative being added into log_det, if given, and its transforms
-    written into row k of the (K, n) array P, if given.  Every row maps on
+    log-derivative being added into log_det, if given.  Every row maps on
     its own, so the blocks do not change a bit.  Both d x K products stay
     whole-array calls in the calling thread: a BLAS product's bits can
     depend on its row count.  interpolated_transform is looked up in this
@@ -164,7 +161,7 @@ def _apply_layer(layer: GisLayer, Z, blocks, log_det=None, map=map, P=None):
     """
     W = layer.weights
     Y = Z @ W
-    list(map(partial(_layer_block, layer.tables, Y, P, log_det), blocks))
+    list(map(partial(_layer_block, layer.tables, Y, log_det), blocks))
     Z += Y @ W.T
 
 
@@ -325,9 +322,9 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
     Per iteration: select the best slice on the current residual, fit one
     marginal's knots per (conditional bin, slice column), and apply the
     bin-interpolated update to every row.  on_iteration, if given, is
-    called with (iteration, before, after): the summed slice Wasserstein
-    score before and after that iteration's update; the after scores are
-    computed only for it.
+    called with (iteration, before, after): the summed Wasserstein score of
+    the rows projected onto that iteration's slice, before and after its
+    update; the after score is computed only for it.
     Each slice's bin samples are gathered into one +inf-padded block, so
     one fit_marginal_transform call fits all its bins.  The slice search
     and the update's row blocks run on one thread pool per fit, sized to
@@ -396,12 +393,13 @@ def fit_gis(data, conditionals, config: FitConfig | None = None,
                                 config.derivative_floor) for y in Yt]
             del Yt  # not held through the update
             layer = GisLayer(weights=W, tables=tables)
-            # the transforms go to a search buffer, free until the next search
-            P = None if on_iteration is None else buffers[0]
-            _apply_layer(layer, Z, blocks, map=pool.map, P=P)
+            _apply_layer(layer, Z, blocks, map=pool.map)
             layers.append(layer)
             if on_iteration is not None:
-                after = sum(wasserstein_1d_to_gaussian(P, axis=1, overwrite=True,
+                # the updated slice coordinates go to a search buffer, free
+                # until the next search
+                Yt = np.matmul(W.T, Z.T, out=buffers[0])
+                after = sum(wasserstein_1d_to_gaussian(Yt, axis=1, overwrite=True,
                                                        quantiles=quantiles).tolist())
                 on_iteration(i, before, after)
 

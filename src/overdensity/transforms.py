@@ -6,9 +6,10 @@ knots the matching standard-normal quantiles.  Between knots the map is
 monotone piecewise-cubic, outside them linear; conditional.KnotTable
 derives its slopes (_checked_slopes) for a whole slice at once.
 
-The normal quantiles come from _ndtri, an in-module port of Cephes ndtri
-that equals scipy.special.ndtri bit for bit, so the package runs on numpy
-alone; scipy is the tests' oracle for it and for the PCHIP slopes.
+The normal quantiles come from the standard library's
+statistics.NormalDist().inv_cdf, so the package runs on numpy alone;
+scipy is the tests' oracle for the PCHIP slopes, and its ndtri agrees
+with those quantiles to within a few ulps.
 """
 
 from __future__ import annotations
@@ -234,79 +235,16 @@ def _pchip_slopes(x, y):
     return d
 
 
-# Cephes ndtri: sqrt(2 pi), exp(-2), and the rational approximations of
-# the central branch (P0 / Q0) and of the tail branch for sqrt(-2 log y)
-# below 8 (P1 / Q1) and from 8 on (P2 / Q2); each Q has an implied leading 1
-_S2PI = 2.50662827463100050242
-_E2 = 0.13533528323661269189
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-       1.39312609387279679503E1, -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _rational(x, p, q):
-    """Cephes' x * polevl(x, p) / p1evl(x, q), in its order of operations,
-    with each polynomial a Horner loop."""
-    num = p[0]
-    for c in p[1:]:
-        num = num * x + c
-    den = x + q[0]
-    for c in q[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _ndtri(p):
-    """Standard-normal quantile of each p in (0, 1): Cephes ndtri in numpy,
-    bit for bit equal to scipy.special.ndtri.
-
-    p above 1 - exp(-2) is flipped to y = 1 - p (which then always takes
-    the tail branch); y above exp(-2) takes the central rational
-    approximation, the rest the tail one in sqrt(-2 log y).  Both tail
-    logarithms are math.log per element: np.log differs from the C
-    library's log in the last bit of some values.
-    """
-    def log(v):
-        return np.fromiter(map(math.log, v.tolist()), float, v.size)
-
-    p = np.asarray(p, dtype=float)
-    flip = p > 1.0 - _E2
-    y = np.where(flip, 1.0 - p, p)
-    x = np.empty_like(y)
-    mid = y > _E2
-    u = y[mid] - 0.5
-    u2 = u * u
-    x[mid] = (u + u * _rational(u2, _P0, _Q0)) * _S2PI
-    tail = ~mid
-    r = np.sqrt(-2.0 * log(y[tail]))
-    z = 1.0 / r
-    x1 = np.where(r < 8.0, _rational(z, _P1, _Q1), _rational(z, _P2, _Q2))
-    x0 = r - log(r) / r
-    t = x0 - x1
-    x[tail] = np.where(flip[tail], t, -t)
-    return x
-
-
 def _normal_levels(n: int):
     """Probability levels (j + 0.5) / n and their standard-normal
     quantiles: at n the sample size, the plotting quantiles of
     wasserstein_1d_to_gaussian."""
+    # imported here, where fitting and the W1 API need it, so that score
+    # and features runs do not load the statistics module
+    from statistics import NormalDist
+
     p = (np.arange(n) + 0.5) / n
-    return p, _ndtri(p)
+    return p, np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, n)
 
 
 @lru_cache(maxsize=8)

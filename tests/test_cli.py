@@ -716,6 +716,27 @@ def test_cli_import_leaves_process_pools_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_score_and_features_leave_the_statistics_module_out(pipeline_dir, tmp_path):
+    # the normal quantiles (statistics.NormalDist) are computed only by
+    # fitting and the W1 API, and imported where they are computed: score
+    # and features runs never load the module.  A fresh interpreter, since
+    # pytest itself imports statistics
+    particles = tmp_path / "particles.csv"
+    _write_particle_events(particles, 10, seed=2)
+    script = f"""
+import sys
+from overdensity.cli import main
+codes = [main(["score", "--features", {str(pipeline_dir / "data" / "features.csv")!r},
+               "--model", {str(pipeline_dir / "model.txt")!r},
+               "--out-dir", {str(tmp_path / "scored")!r}, "--sigma", "0.15"]),
+         main(["features", "--particles", {str(particles)!r},
+               "--out", {str(tmp_path / "features.csv")!r}])]
+print(codes, "statistics" in sys.modules)
+"""
+    done = _run_python(script)
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_pipeline_runs_with_scipy_unimportable(tmp_path):
     # a None entry in sys.modules makes every `import scipy...` fail
     script = f"""

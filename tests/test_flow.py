@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 from itertools import product
@@ -13,6 +14,7 @@ from overdensity.errors import ConfigError, FitError, InputError
 from overdensity.flow import (FitConfig, FlowModel, _random_orthonormal, fit_gis, load_model,
                               save_model)
 from overdensity.synth import LhcLikeConfig, generate_lhc_like
+from overdensity.transforms import wasserstein_1d_to_gaussian
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,24 @@ def test_fit_progress_improves_each_iteration(toy_fit):
     assert progress[-1][1] < progress[0][0]
 
 
+def test_fit_progress_reports_the_updated_rows_distance():
+    # after is the summed slice W1 of the rows that iteration's update
+    # left: the fitted model's first i + 1 layers map the data there, and
+    # layer i's frame projects them onto its slice
+    data = generate_lhc_like(LhcLikeConfig(n_background=6000, n_signal=0), seed=1)
+    cfg = FitConfig(n_iterations=3, n_conditional_bins=4, n_knots=16, n_candidates=8,
+                    rng_seed=2)
+    progress = []
+    model = fit_gis(data.features, data.conditionals, cfg,
+                    on_iteration=lambda i, before, after: progress.append(after))
+    assert len(progress) == 3
+    for i, after in enumerate(progress):
+        prefix = dataclasses.replace(model, layers=model.layers[:i + 1])
+        z = prefix.forward(data.features, data.conditionals)[0]
+        columns = wasserstein_1d_to_gaussian(z @ model.layers[i].weights, axis=0)
+        assert after == pytest.approx(sum(columns.tolist()), rel=1e-12, abs=0)
+
+
 def test_select_slice_prefers_the_non_gaussian_axis(rng):
     n = 6000
     data = rng.standard_normal((n, 3))
@@ -211,7 +231,7 @@ def test_model_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_cand
     # of at most flow._BLOCK_ROWS rows, as many for each worker; more
     # workers than candidates leave some workers without a group, and caps
     # of 64 and 1,000 rows cut the 3,000 rows into several unequal blocks
-    # per worker.  The progress reads the transformed slices, so it must
+    # per worker.  The progress reads the updated rows' slices, so it must
     # match too.
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3000, 3)) ** 3
