@@ -9,10 +9,11 @@ kernel can change the last bits of models and synthetic features.
 
 score reads, scores and writes its features file a group of scoring
 chunks at a time, so its memory grows by m and alpha (16 bytes an event)
-and the rows of the events above the lowest threshold; fit holds the
-whole feature matrix, but not the event ids.
+and the rows of the events above the lowest threshold; fit reads the
+whole feature matrix, without the event ids (dataio.read_features).
 
-Exit codes: 0 success, 1 input error, 2 config error.
+Exit codes: 0 success, 1 input error (an input or config file that cannot
+be read, or an output that cannot be written), 2 config error.
 """
 
 from __future__ import annotations
@@ -41,21 +42,21 @@ def _load_config_file(path, allowed):
     """Parse key=value lines; unknown keys are config errors."""
     values = {}
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in allowed:
-                raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
-            values[key] = value.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path} line {line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -85,15 +86,40 @@ def _parse_float_list(text):
 
 
 def _atomic_write(path, write_fn):
-    """Write via temp file + rename so failures leave no partial output."""
+    """Write via temp file + rename so failures leave no partial output; an
+    output that cannot be written is an InputError naming it."""
     tmp = f"{path}.tmp"
     try:
         result = write_fn(tmp)
         os.replace(tmp, path)
         return result
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+@contextmanager
+def _output_dir(path):
+    """Make the directory path and its missing parents; if that fails, or
+    the block raises, remove those of them that are left empty."""
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot make directory {path}: {exc}") from exc
+        yield
+    except BaseException:
+        for made_dir in made:  # the deepest first
+            with suppress(OSError):
+                os.rmdir(made_dir)
+        raise
 
 
 def _input_entry(path, rows):
@@ -125,13 +151,13 @@ def cmd_synth(args) -> int:
         config_used = {"n_background": lhc.n_background, "n_signal": lhc.n_signal,
                        "resonance": [rescfg.mass, rescfg.m_j1, rescfg.m_j2]}
 
-    os.makedirs(args.out_dir, exist_ok=True)
     ids = [str(i) for i in range(dataset.n_events)]
     features_path = os.path.join(args.out_dir, "features.csv")
     labels_path = os.path.join(args.out_dir, "labels.csv")
-    n_feat = _atomic_write(features_path, lambda p: dataio.write_features(
-        p, ids, dataset.conditional_name, dataset.conditionals,
-        dataset.feature_names, dataset.features))
+    with _output_dir(args.out_dir):
+        n_feat = _atomic_write(features_path, lambda p: dataio.write_features(
+            p, ids, dataset.conditional_name, dataset.conditionals,
+            dataset.feature_names, dataset.features))
     n_lab = _atomic_write(labels_path, lambda p: dataio.write_labels(
         p, ids, dataset.labels))
     dataio.write_manifest(os.path.join(args.out_dir, "manifest.json"), {
@@ -271,12 +297,6 @@ _FIT_SCHEMA = {
 def cmd_fit(args) -> int:
     cfg = _resolve(args, _FIT_SCHEMA)
     table = dataio.read_features(args.features)
-    # the fit needs the ids' count alone, not the ids (Python strings, 67 MB
-    # at 1M events)
-    n_events = table.n_events
-    names = [table.conditional_name, *table.feature_names]
-    X, m = table.event_arrays()
-    del table
     fit_cfg = FitConfig(n_iterations=cfg["iterations"], n_slices=cfg["slices"],
                         n_conditional_bins=cfg["bins"], n_knots=cfg["knots"],
                         n_candidates=cfg["candidates"],
@@ -287,18 +307,19 @@ def cmd_fit(args) -> int:
         print(f"iteration {i + 1:3d}/{cfg['iterations']}  "
               f"slice-W1 before {before:.5f}  after {after:.5f}")
 
-    model = fit_gis(X, m, fit_cfg, on_iteration=None if args.quiet else report)
+    model = fit_gis(table.features, table.conditionals, fit_cfg,
+                    on_iteration=None if args.quiet else report)
     _atomic_write(args.model_out, lambda p: save_model(model, p))
     dataio.write_manifest(f"{args.model_out}.manifest.json", {
         "command": "fit",
         "version": __version__,
         "seed": cfg["seed"],
         "config": {k: cfg[k] for k in _FIT_SCHEMA},
-        "inputs": [_input_entry(args.features, n_events)],
-        "outputs": [{"path": args.model_out, "rows": n_events}],
-        "feature_names": names,
+        "inputs": [_input_entry(args.features, table.n_events)],
+        "outputs": [{"path": args.model_out, "rows": table.n_events}],
+        "feature_names": [table.conditional_name, *table.feature_names],
     })
-    print(f"fitted {len(model.layers)} layers on {n_events} events -> {args.model_out}")
+    print(f"fitted {len(model.layers)} layers on {table.n_events} events -> {args.model_out}")
     return 0
 
 
@@ -348,25 +369,6 @@ def _event_groups(blocks, size, width):
                 yield group_ids[start:start + size], whole[start:start + size]
     if held or empty:
         yield ids, np.concatenate(values) if values else np.zeros((0, width))
-
-
-@contextmanager
-def _output_dir(path):
-    """Make the directory path and its missing parents; if the block
-    raises, remove those of them that are left empty."""
-    made = []
-    head = os.path.abspath(path)
-    while not os.path.isdir(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(path, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        for made_dir in made:  # the deepest first
-            with suppress(OSError):
-                os.rmdir(made_dir)
-        raise
 
 
 def _summary_text(thresholds, alphas, values, names) -> str:

@@ -112,9 +112,9 @@ def _text_lines(path, kind):
 
 @dataclass
 class FeatureTable:
-    """In-memory features file: ids, conditional column, feature matrix."""
+    """In-memory features file: conditional column and feature matrix.  It
+    holds no event ids (read_feature_blocks yields them)."""
 
-    event_ids: list
     conditional_name: str
     conditionals: np.ndarray
     feature_names: list
@@ -122,10 +122,7 @@ class FeatureTable:
 
     @property
     def n_events(self) -> int:
-        return len(self.event_ids)
-
-    def event_arrays(self):
-        return self.features, self.conditionals
+        return len(self.conditionals)
 
 
 def write_features(path, event_ids, conditional_name, conditionals,
@@ -178,40 +175,35 @@ def _csv_records(lines, path, line_no):
         raise InputError(f"{path} line {line_no - 1 + reader.line_num}: {exc}") from None
 
 
-def _checked_rows(lines, header, path, line_no):
-    """(line number, id, cells) of each row of lines from line_no, or
-    InputError naming the first bad row, column and cell."""
-    for line_no, row in _csv_records(lines, path, line_no):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputError(f"{path} line {line_no}: expected {len(header)} "
-                             f"columns, got {len(row)}")
-        yield line_no, row[0], _float_cells(row[1:], header[1:], path, line_no)
-
-
 def _row_block(rows):
-    """The block (line numbers, ids, values) of _checked_rows' rows, if any."""
-    if rows:
-        line_nos, ids, cells = zip(*rows)
-        yield line_nos, ids, np.array(cells)
+    """The block (line numbers, ids, values) of a list of checked rows."""
+    line_nos, ids, cells = zip(*rows)
+    return line_nos, ids, np.array(cells)
 
 
 def _read_rows(lines, header, path, line_no):
-    """The row-by-row parse of lines from line_no, in blocks of up to
-    _PARSE_LINES rows.  Its first error comes after a block of the rows
+    """The row-by-row parse of lines from line_no: blocks of up to
+    _PARSE_LINES rows, each row checked.  The first bad row, column or
+    cell is an InputError naming it, raised after a block of the rows
     before it, so that a reader meets the errors in file order."""
-    rows = _checked_rows(lines, header, path, line_no)
-    while True:
-        block = []
-        try:
-            block.extend(islice(rows, _PARSE_LINES))
-        except InputError:
-            yield from _row_block(block)
-            raise
-        if not block:
-            return
-        yield from _row_block(block)
+    rows = []
+    try:
+        for line_no, row in _csv_records(lines, path, line_no):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path} line {line_no}: expected {len(header)} "
+                                 f"columns, got {len(row)}")
+            rows.append((line_no, row[0], _float_cells(row[1:], header[1:], path, line_no)))
+            if len(rows) == _PARSE_LINES:
+                yield _row_block(rows)
+                rows = []
+    except InputError:
+        if rows:
+            yield _row_block(rows)
+        raise
+    if rows:
+        yield _row_block(rows)
 
 
 def _parsed_rows(path, kind):
@@ -256,16 +248,15 @@ def read_feature_blocks(path):
 
 
 def read_features(path) -> FeatureTable:
-    """Read a features file whole (read_feature_blocks)."""
+    """Read a features file whole (read_feature_blocks), keeping its
+    conditional column and feature matrix but not its event ids."""
     blocks = read_feature_blocks(path)
     conditional_name, feature_names = next(blocks)
-    ids = []
     values = array("d")  # each row's conditional and features, end to end
-    for block_ids, block_values in blocks:
-        ids.extend(block_ids)
+    for _, block_values in blocks:
         values.frombytes(block_values.tobytes())
     table = np.frombuffer(values, dtype=float).reshape(-1, 1 + len(feature_names))
-    return FeatureTable(event_ids=ids, conditional_name=conditional_name,
+    return FeatureTable(conditional_name=conditional_name,
                         conditionals=table[:, 0].copy(), feature_names=feature_names,
                         features=np.ascontiguousarray(table[:, 1:]))
 

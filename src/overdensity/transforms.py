@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -237,7 +236,8 @@ def _pchip_slopes(x, y):
 
 def _normal_levels(n: int):
     """Probability levels (j + 0.5) / n and their standard-normal
-    quantiles: at n the sample size, the plotting quantiles of
+    quantiles: at n the knot count, fit_marginal_transform's output knots;
+    at n the sample size, the plotting quantiles of
     wasserstein_1d_to_gaussian."""
     # imported here, where fitting and the W1 API need it, so that score
     # and features runs do not load the statistics module
@@ -245,17 +245,6 @@ def _normal_levels(n: int):
 
     p = (np.arange(n) + 0.5) / n
     return p, np.fromiter(map(NormalDist().inv_cdf, p.tolist()), float, n)
-
-
-@lru_cache(maxsize=8)
-def _knot_levels(n_knots: int):
-    """_normal_levels of a knot count, read-only: the output knots of
-    fit_marginal_transform.  Only knot counts are cached, never sample
-    sizes, so the cache stays a few hundred doubles."""
-    p, z = _normal_levels(n_knots)
-    p.setflags(write=False)
-    z.setflags(write=False)
-    return p, z
 
 
 def _linear_quantiles(s, p, sizes=None):
@@ -320,7 +309,7 @@ def fit_marginal_transform(samples, n_knots=DEFAULT_KNOTS, sizes=None):
     if (high - low == 0.0).any():
         raise FitError("samples have zero variance; marginal transform is degenerate")
 
-    p, z = _knot_levels(n_knots)
+    p, z = _normal_levels(n_knots)
     q = _linear_quantiles(s, p, sizes)
     # Merge knots closer than a relative epsilon, keeping the first of each
     # run: gaps that small are one atom of the distribution, and they would

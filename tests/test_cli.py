@@ -293,6 +293,54 @@ def test_config_file_and_flag_precedence(pipeline_dir, tmp_path):
     assert len(load_model(str(model_b)).layers) == 1  # flag wins over file
 
 
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_undecodable_config_file_exits_1(pipeline_dir, tmp_path, capsys, command):
+    cfg = tmp_path / "c.txt"
+    cfg.write_bytes(b"iterations = 2\n\xff\n")
+    out = tmp_path / "out"
+    features = str(pipeline_dir / "data" / "features.csv")
+    outputs = {"fit": ["--model-out", str(out)],
+               "score": ["--model", str(pipeline_dir / "model.txt"), "--out-dir", str(out)]}
+    code = main([command, "--features", features, *outputs[command], "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read config file {cfg}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["synth", "features", "fit", "score"])
+def test_unwritable_output_exits_1(pipeline_dir, tmp_path, capsys, command):
+    # features and fit write into a directory that does not exist, once
+    # their work is done; synth and score are given a file as out-dir
+    particles = tmp_path / "particles.csv"
+    _write_particle_events(particles, 5, seed=0)
+    out = tmp_path / "out"
+    out.mkdir()
+    blocker = out / "file"
+    blocker.write_text("kept\n")
+    missing = out / "no" / "such" / "dir" / "out.txt"
+    data = pipeline_dir / "data"
+    argv, path = {
+        "synth": (["synth", "toy", "--n-background", "200", "--n-signal", "0",
+                   "--out-dir", str(blocker)], blocker),
+        "features": (["features", "--particles", str(particles), "--out", str(missing)],
+                     missing),
+        "fit": (["fit", "--features", str(data / "features.csv"), "--model-out", str(missing),
+                 "--iterations", "1", "--bins", "3", "--knots", "12", "--quiet"], missing),
+        "score": (["score", "--features", str(data / "features.csv"),
+                   "--model", str(pipeline_dir / "model.txt"), "--out-dir", str(blocker)],
+                  blocker),
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot ") and f" {path}: " in err
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_dimension_mismatch_exits_2(pipeline_dir, tmp_path, capsys):
     four_col = tmp_path / "four.csv"
     assert main(["synth", "lhc", "--out-dir", str(tmp_path / "lhc"),

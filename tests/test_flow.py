@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from overdensity import flow, transforms
+from overdensity import flow
 from overdensity.anomaly import ScoreConfig, score_events
 from overdensity.errors import ConfigError, FitError, InputError
 from overdensity.flow import (FitConfig, FlowModel, _random_orthonormal, fit_gis, load_model,
@@ -273,23 +273,6 @@ def test_fit_working_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 11 * data.features.nbytes
-
-
-def test_fit_caches_no_sample_size_quantiles():
-    # the plotting quantiles of the fit's n-row samples (16 bytes a row,
-    # cached per sample size before) are computed once per fit and dropped
-    # with it; only the knot count's levels stay cached
-    data = generate_lhc_like(LhcLikeConfig(n_background=100_000, n_signal=0), seed=0)
-    transforms._knot_levels.cache_clear()
-    progress = []
-    fit_gis(data.features, data.conditionals,
-            FitConfig(n_iterations=1, n_conditional_bins=10, n_knots=16),
-            on_iteration=lambda *scores: progress.append(scores))
-    assert len(progress) == 1
-    cached = transforms._knot_levels.cache_info()
-    assert cached.currsize == 1
-    transforms._knot_levels(16)
-    assert transforms._knot_levels.cache_info().hits == cached.hits + 1
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2024])

@@ -273,7 +273,7 @@ def test_last_slope_is_evaluated_not_copied():
 
 @given(st.data(), st.integers(min_value=2, max_value=80))
 def test_quantile_knots_match_numpy_bit_for_bit(data, n_knots):
-    p, _ = transforms._knot_levels(n_knots)
+    p, _ = transforms._normal_levels(n_knots)
     # sizes with (n - 1) p on integers, the minimum size, or any size
     n = data.draw(st.one_of(
         st.integers(min_value=1, max_value=20).map(lambda r: 2 * n_knots * r + 1),
@@ -460,7 +460,7 @@ def test_normal_quantile_tables_match_norm_ppf():
     # the quantiles are NormalDist's bit for bit, and scipy's to within 8
     # ulps (at most 7 apart over these n and at 100k and 1M levels)
     for n in [*range(2, 130), 1000, 1001, 24576]:
-        p, z = transforms._knot_levels(n)
+        p, z = transforms._normal_levels(n)
         _assert_same_bits(p, (np.arange(n) + 0.5) / n)
         _assert_same_bits(z, _inv_cdf(p))
         _assert_within_ulps(z, norm.ppf(p), 8)
