@@ -15,6 +15,12 @@ from libm pow(pt^2, power) and its column factor from numpy's array power
 (a reciprocal for anti-kt); the two can differ in the last bit.  That is
 O(n^2) work per step in a handful of numpy calls - ample for events up
 to several hundred particles.
+
+The clusterer yields jets in the order they are made.  extract_features
+stops drawing them once two jets pass |eta| < eta_max and the softer of
+the two hardest has more pt than all live pseudojets together, times a
+rounding margin: a later jet sums live pseudojets, so it cannot outrank
+them.  On dijet events that skips about three quarters of the steps.
 """
 
 from __future__ import annotations
@@ -40,6 +46,17 @@ _ETA_SENTINEL = 1e10
 # 1.8e140, so the squares of summed momenta stay finite up to 1e13 particles
 _PT_MIN = 1e-150
 _MOMENTUM_MAX = 1e140
+# extract_features stops clustering once its second jet has more pt than
+# _STOP_MARGIN times _Cluster.live_pt, the live pseudojets' summed pt.  In
+# exact arithmetic a later jet's pt is at most that sum.  In floats, a jet
+# of n pseudojets sums their momenta with at most n - 1 roundings, which
+# move its pt by a relative sqrt(2) (n - 1) 2^-53; the bound's own sum
+# rounds by (n - 1) 2^-53 more, and the squares and roots by a few 2^-53.
+# An underflowed square moves a pt by at most 2.2e-162 absolute, and the
+# bound's floor of _PT_MIN per live slot keeps those within 5e-12 of it.
+# Below n = 3e6 - more slots than an n x n table of doubles can hold in
+# memory - the total is under 8.1e-10.
+_STOP_MARGIN = 1.0 + 1e-9
 
 
 def wrap_phi(phi):
@@ -184,7 +201,6 @@ class _Cluster:
         np.fill_diagonal(self.d_pair, np.inf)
         self._row = np.empty(n)
         self._scratch = np.empty(n)
-        self._col_pow = np.empty(1)
 
     def _distances(self, eta, phi, row_pow, out, scratch):
         """min(row_pow, pt2_pow) * dR^2 / R^2 of (eta, phi) against every
@@ -229,10 +245,9 @@ class _Cluster:
         if pt2 > 0:
             eta = math.asinh(pz / math.sqrt(pt2))
             row_pow = _pow(pt2, self.power)
-            # the column factor is numpy's array power, as at set-up
-            self._col_pow[0] = pt2
-            self._col_pow **= self.power
-            col_pow = self._col_pow[0]
+            # the column factor is numpy's array power, as at set-up: for
+            # power -1 that is its reciprocal, for +1 the value itself
+            col_pow = 1.0 / pt2 if self.power < 0 else pt2
             self.d_beam[i] = row_pow
         else:
             eta = math.copysign(_ETA_SENTINEL, pz) if pz else 0.0
@@ -271,6 +286,27 @@ class _Cluster:
         self.dead = np.zeros(self.n, dtype=bool)
         self._row = self._row[:self.n]
         self._scratch = self._scratch[:self.n]
+
+    def inclusive_jets(self, particles):
+        """Yield the inclusive jets in the order they are made: each step
+        the smaller of the first minimal pair distance and the first
+        minimal beam distance wins, the beam on an exact tie.  A jet's
+        slot is dead by the time it is yielded."""
+        while self.n_alive:
+            d_pair, i, j = self.min_pair()
+            d_beam, b = self.min_beam()
+            if d_beam <= d_pair:
+                jet = self.jet_from_slot(particles, b)
+                self._kill(b)
+                yield jet
+            else:
+                self.merge(i, j)
+
+    def live_pt(self):
+        """Bound on the pt of any jet still to come: the live pseudojets'
+        summed pt, at least _PT_MIN per live slot (see _STOP_MARGIN)."""
+        live = np.sqrt(np.array(self.pt2)[~self.dead]).sum()
+        return max(float(live), self.n_alive * _PT_MIN)
 
     def _kill(self, i):
         self.dead[i] = True
@@ -320,22 +356,17 @@ def cluster_antikt(particles, R: float = 1.0) -> list:
     if not particles:
         return []
     cl = _Cluster(particles, R, power=-1)
-    jets = []
-    while cl.n_alive:
-        d_pair, i, j = cl.min_pair()
-        d_beam, b = cl.min_beam()
-        if d_beam <= d_pair:
-            jets.append(cl.jet_from_slot(particles, b))
-            cl._kill(b)
-        else:
-            cl.merge(i, j)
-    return sorted(jets, key=lambda jet: -jet.pt)
+    return sorted(cl.inclusive_jets(particles), key=lambda jet: -jet.pt)
+
+
+def _check_eta_max(eta_max):
+    if not eta_max > 0:
+        raise ConfigError("eta_max must be positive")
 
 
 def filter_jets(jets, eta_max: float = 2.5) -> list:
     """Keep jets with |eta| strictly below eta_max."""
-    if not eta_max > 0:
-        raise ConfigError("eta_max must be positive")
+    _check_eta_max(eta_max)
     return [j for j in jets if abs(j.eta) < eta_max]
 
 
@@ -420,12 +451,30 @@ def extract_features(particles, R: float = 1.0, eta_max: float = 2.5) -> EventFe
     The two lead jets are taken by descending pt after the |eta| filter;
     m_j1 belongs to the higher-pt jet (not the heavier one), so dm can be
     negative.  Raises EventRejected (with a reason code) when fewer than
-    two jets survive or a lead jet has a single constituent.
+    two jets survive or a lead jet has a single constituent.  R is checked
+    first, then eta_max, both before any clustering.
+
+    Anti-kt stops once two jets pass the filter and the softer of the two
+    hardest has more pt than _STOP_MARGIN times _Cluster.live_pt: the jets
+    made by then are the full clustering's first, bit for bit, and no later
+    one can outrank those two, so the stable sort picks the same pair.
     """
-    jets = filter_jets(cluster_antikt(particles, R), eta_max)
+    check_radius(R)
+    _check_eta_max(eta_max)
+    particles = list(particles)
+    if len(particles) < 2:
+        raise EventRejected("fewer_than_two_jets")
+    cl = _Cluster(particles, R, power=-1)
+    jets = []
+    for jet in cl.inclusive_jets(particles):
+        if abs(jet.eta) < eta_max:
+            jets.append(jet)
+            if len(jets) >= 2 and \
+                    sorted(j.pt for j in jets)[-2] > _STOP_MARGIN * cl.live_pt():
+                break
     if len(jets) < 2:
         raise EventRejected("fewer_than_two_jets")
-    j1, j2 = jets[0], jets[1]
+    j1, j2 = sorted(jets, key=lambda jet: -jet.pt)[:2]
     t1 = tau21(j1, R)
     t2 = tau21(j2, R)
     if t1 is None or t2 is None:

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,18 @@ from reference_clustering import (
     ref_cluster,
     ref_nsubjettiness,
 )
+
+
+def _load_dijet():
+    # the benchmark's particle-event generator, by path: perfbench is no package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "dijet.py"
+    spec = importlib.util.spec_from_file_location("dijet", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dijet = _load_dijet()
 
 
 def _random_event(rng, n):
@@ -283,9 +297,9 @@ def _jet_bits(jets):
     return [(j.e, j.px, j.py, j.pz, j.constituent_indices) for j in jets]
 
 
-def _features_or_reason(extract, particles, R):
+def _features_or_reason(extract, particles, R, eta_max=2.5):
     try:
-        return extract(particles, R).to_row()
+        return extract(particles, R, eta_max).to_row()
     except EventRejected as exc:
         return exc.reason
 
@@ -321,6 +335,107 @@ def test_clusterer_matches_matrix_oracle_bit_for_bit(n, R, ties, seed):
         assert tau21(jet, R) == (None if t2 is None else 0.0 if t1 == 0.0 else t2 / t1)
     assert _features_or_reason(extract_features, particles, R) == \
         _features_or_reason(matrix_extract_features, particles, R)
+
+
+def _dijet_rows(seed, n, soft_scale=1.0):
+    """A harness event: two hard two-prong jets (rows 0-1 and 2-3) and a
+    soft spray, its pt scaled by soft_scale."""
+    _, rows = dijet.make_event(np.random.default_rng(seed), n)
+    rows[dijet.HARD_PARTICLES:, 0] *= soft_scale
+    return rows
+
+
+def _particles(rows):
+    return [Particle(*map(float, row)) for row in rows]
+
+
+@settings(max_examples=40)
+# the stop fires early; with the soft pt x1000 it fires only near the end;
+# a narrow eta_max drops one hard jet
+@example(n=200, R=1.0, soft_scale=1.0, narrow=False, seed=0)
+@example(n=200, R=1.0, soft_scale=1000.0, narrow=False, seed=0)
+@example(n=200, R=0.4, soft_scale=1.0, narrow=True, seed=1)
+@given(st.integers(min_value=4, max_value=220),
+       st.sampled_from([0.4, 1.0, 1.5]),
+       st.sampled_from([1.0, 5.0, 60.0, 1000.0]),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_dijet_features_match_matrix_oracle_bit_for_bit(n, R, soft_scale, narrow, seed):
+    # extract_features stops anti-kt early on such events; the oracle
+    # always clusters the whole event
+    rows = _dijet_rows(seed, n, soft_scale)
+    eta_max = 2.5
+    if narrow:
+        # midway between the two hard jets' |eta|: one passes, one not
+        lo, hi = sorted(abs(j.eta) for j in cluster_antikt(_particles(rows[:4]), 1.0)[:2])
+        eta_max = (lo + hi) / 2 or 2.5
+    particles = _particles(rows)
+    assert _features_or_reason(extract_features, particles, R, eta_max) == \
+        _features_or_reason(matrix_extract_features, particles, R, eta_max)
+
+
+def _antikt_merges(monkeypatch, call):
+    """call() and the number of anti-kt merges it made."""
+    merges = 0
+    merge = _Cluster.merge
+
+    def counted(self, i, j):
+        nonlocal merges
+        merges += self.power < 0
+        merge(self, i, j)
+
+    monkeypatch.setattr(_Cluster, "merge", counted)
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return result, merges
+
+
+def test_extract_features_stops_once_the_lead_jets_are_settled(monkeypatch):
+    particles = _particles(_dijet_rows(0, 200))
+    row, stopped = _antikt_merges(
+        monkeypatch, lambda: extract_features(particles).to_row())
+    _, full = _antikt_merges(monkeypatch, lambda: cluster_antikt(particles))
+    assert stopped < full
+    assert row == matrix_extract_features(particles).to_row()
+
+
+@pytest.mark.parametrize("soft_over_j2, fires", [
+    (1.0 - 0.5e-9, False),  # below j2, yet inside the rounding margin
+    (1.0 - 2e-9, True),
+])
+def test_stop_waits_for_the_margin_over_live_pt(monkeypatch, soft_over_j2, fires):
+    # two hard two-prong jets merge and are made first; eight soft
+    # particles, far from them and in four pairs 0.5 apart, are then all
+    # that is live.  Their pt sums to soft_over_j2 times the second jet's,
+    # and the pairs merge only if the stop does not fire on that jet
+    hard = [Particle(600.0, 0.0, 0.0), Particle(400.0, 0.2, 0.0),
+            Particle(500.0, 0.0, 3.0), Particle(300.0, 0.2, 3.0)]
+    j2_pt = cluster_antikt(hard)[1].pt
+    soft_pt = j2_pt / 8 * soft_over_j2
+    particles = hard + [Particle(soft_pt, eta, phi + dphi)
+                        for eta in (-2.0, 2.0) for phi in (-1.5, 1.5) for dphi in (0.0, 0.5)]
+    row, stopped = _antikt_merges(
+        monkeypatch, lambda: extract_features(particles).to_row())
+    _, full = _antikt_merges(monkeypatch, lambda: cluster_antikt(particles))
+    assert full == 6
+    assert stopped == (2 if fires else full)
+    assert row == matrix_extract_features(particles).to_row()
+
+
+def test_eta_max_is_checked_after_radius_and_before_clustering(monkeypatch):
+    particles = [Particle(pt=300.0, eta=0.1, phi=0.0), Particle(pt=120.0, eta=0.5, phi=0.3)]
+    with pytest.raises(ConfigError, match="R must be positive with a positive finite square"):
+        extract_features(particles, R=0.0, eta_max=0.0)
+
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("clustered before the eta_max check")
+
+    monkeypatch.setattr(_Cluster, "__init__", no_clustering)
+    for eta_max in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="eta_max must be positive"):
+            extract_features(particles, R=1.0, eta_max=eta_max)
 
 
 def test_zero_pt_pseudojet_is_promoted_once():
